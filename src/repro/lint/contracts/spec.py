@@ -144,6 +144,7 @@ WIRE_READERS = {
     "repro.serve.client": ("payload", "response", "error", "data"),
     "repro.serve.cluster": ("payload", "response", "error", "record",
                             "entry", "spec", "body", "data"),
+    "repro.serve.lifecycle": ("payload", "record"),
     "repro.serve.schema": ("payload", "data"),
 }
 

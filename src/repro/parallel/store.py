@@ -22,6 +22,8 @@ import itertools
 import json
 import os
 import threading
+import zipfile
+import zlib
 from abc import ABC, abstractmethod
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -367,15 +369,24 @@ class DiskCache:
         """The persisted compiled trace for (spec, scale), or ``None``.
 
         Any failure — missing file, torn archive, IR version mismatch —
-        degrades to a cache miss."""
+        degrades to a cache miss; an archive that exists but does not
+        load is unlinked, so the next :meth:`put_trace` rewrites it."""
         from repro.replay import load_trace
 
         path = self._trace_path(self._trace_key(spec, scale, anim))
         try:
             with open(path, "rb") as handle:
                 trace = load_trace(handle)
-        except (OSError, ValueError, KeyError):
+        except FileNotFoundError:
             self.misses += 1
+            return None
+        except (OSError, ValueError, KeyError, EOFError,
+                zipfile.BadZipFile, zlib.error):
+            self.misses += 1
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass  # best-effort: a later put_trace replaces it anyway
             return None
         try:
             # LRU bookkeeping for the size cap; best-effort.

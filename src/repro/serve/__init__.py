@@ -9,9 +9,9 @@ DESIGN.md, "The serving layer" and "The sharded cluster"):
   :class:`ServeError`), its version negotiation, and the deterministic
   request key that powers coalescing, the disk-warm lane and the
   cluster's key-affinity sharding;
-- :mod:`~repro.serve.scheduler` — admission control, micro-batching,
-  in-flight coalescing, priority lanes, cache-aware ordering, retry /
-  timeout / watchdog robustness over one process pool;
+- :mod:`~repro.serve.lifecycle` / :mod:`~repro.serve.scheduler` — the
+  job lifecycle both roles share (admission, coalescing, memo, retry),
+  then micro-batching, lanes and a watchdog over one process pool;
 - :mod:`~repro.serve.server` — the stdlib ``asyncio`` front door
   speaking newline-delimited JSON and a thin HTTP/1.1 subset
   (``/submit``, ``/status/<id>``, ``/result/<id>``, ``/healthz``,

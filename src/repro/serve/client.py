@@ -150,16 +150,12 @@ class ServeClient:
         file, sock = self._file, self._sock
         self._file = None
         self._sock = None
-        try:
-            if file is not None:
-                file.close()
-        except OSError:
-            pass  # connection already dead; dropping it is the point
-        try:
-            if sock is not None:
-                sock.close()
-        except OSError:
-            pass
+        for handle in (file, sock):
+            try:
+                if handle is not None:
+                    handle.close()
+            except OSError:
+                pass  # connection already dead; dropping it is the point
 
     def close(self) -> None:
         """Idempotent: safe to call twice, and safe via ``__exit__``

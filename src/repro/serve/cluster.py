@@ -1,10 +1,10 @@
 """The cluster front end: consistent-hash routing over tcor-serve shards.
 
 :class:`Router` scales the single-process service horizontally while
-keeping every serving guarantee intact.  It duck-types the scheduler
-interface :class:`~repro.serve.server.SimulationServer` speaks, so the
-exact same front door (NDJSON + HTTP on one port, typed errors,
-``/metrics``) runs in front of a whole cluster:
+keeping every serving guarantee intact.  It is a
+:class:`~repro.serve.lifecycle.JobLifecycle`, like the worker
+scheduler, so the exact same front door (NDJSON + HTTP on one port,
+typed errors, ``/metrics``) runs in front of a whole cluster:
 
 - **key-affinity sharding** — each request key is owned by one backend
   via the :class:`~repro.serve.ring.HashRing`, so a key's repeats land
@@ -40,12 +40,11 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from collections import OrderedDict
-
 from repro.serve import schema
+from repro.serve.lifecycle import Job, JobLifecycle
 from repro.serve.metrics import ClusterMetrics
 from repro.serve.ring import DEFAULT_REPLICAS, HashRing
-from repro.serve.schema import JobRequest, JobStatus, ServeError
+from repro.serve.schema import ServeError
 from repro.serve.tiers import TieredResultCache
 
 DEFAULT_QUEUE_LIMIT = 1024
@@ -142,51 +141,17 @@ def parse_backends(spec) -> list[Backend]:
     return backends
 
 
-class RouterJob:
-    """One admitted request's lifecycle at the router."""
-
-    __slots__ = ("key", "request", "state", "lane", "shard", "served_by",
-                 "attempts", "coalesced", "error", "record", "created_s",
-                 "started_s", "finished_s", "done")
-
-    def __init__(self, key: str, request: JobRequest) -> None:
-        self.key = key
-        self.request = request
-        self.state = schema.QUEUED
-        self.lane: str | None = None
-        self.shard: str | None = None
-        self.served_by: str | None = None
-        self.attempts = 0
-        self.coalesced = 0
-        self.error: str | None = None
-        self.record: dict | None = None
-        self.created_s = time.monotonic()
-        self.started_s: float | None = None
-        self.finished_s: float | None = None
-        self.done = asyncio.Event()
-
-    def status(self) -> JobStatus:
-        now = time.monotonic()
-        queued_for = (self.started_s or self.finished_s or now) \
-            - self.created_s
-        running_for = 0.0
-        if self.started_s is not None:
-            running_for = (self.finished_s or now) - self.started_s
-        return JobStatus(job_id=self.key, state=self.state,
-                         priority=self.request.priority, lane=self.lane,
-                         attempts=self.attempts, coalesced=self.coalesced,
-                         error=self.error, queued_for_s=queued_for,
-                         running_for_s=running_for, shard=self.shard)
-
-
-class Router:
+class Router(JobLifecycle):
     """Consistent-hash front end over N ``tcor-serve`` backends.
 
-    Duck-types the scheduler surface the server needs (``submit`` /
-    ``status`` / ``wait`` / ``result_payload`` / ``counts`` /
-    ``drain`` / ``close`` / ``metrics`` / ``draining``), so
-    ``SimulationServer(Router(...))`` *is* the cluster front door.
+    Shares the job lifecycle with the worker scheduler, so
+    ``SimulationServer(Router(...))`` *is* the cluster front door; the
+    router adds only its dispatch strategy — the memory tier, the disk
+    probe, ring forwarding and health probes.
     """
+
+    role = "router"
+    metrics: ClusterMetrics
 
     def __init__(self, backends, *,
                  tier: TieredResultCache | None = None,
@@ -211,30 +176,21 @@ class Router:
         self._backends: dict[str, Backend] = {
             backend.name: backend for backend in parsed}
         self.tier = tier if tier is not None else TieredResultCache()
-        self.metrics = metrics if metrics is not None else ClusterMetrics()
+        super().__init__(
+            metrics if metrics is not None else ClusterMetrics(),
+            queue_limit=queue_limit, memo_limit=memo_limit,
+            max_attempts=max_forward_attempts,
+            retry_backoff_s=retry_backoff_s,
+            signature=self.tier.signature)
         self.ring = HashRing(replicas=replicas)
-        self.queue_limit = max(1, int(queue_limit))
-        self.memo_limit = max(1, int(memo_limit))
         self.probe_interval_s = probe_interval_s
         self.fail_threshold = max(1, int(fail_threshold))
         self.reconnect_backoff_s = reconnect_backoff_s
         self.reconnect_backoff_max_s = reconnect_backoff_max_s
         self.connect_timeout_s = connect_timeout_s
         self.forward_timeout_s = forward_timeout_s
-        self.max_forward_attempts = max(1, int(max_forward_attempts))
-        self.retry_backoff_s = retry_backoff_s
         self.no_backend_wait_s = no_backend_wait_s
-        self.signature = self.tier.signature
-        self.draining = False
-        self._closed = False
-        self._jobs: dict[str, RouterJob] = {}
-        self._finished: OrderedDict[str, None] = OrderedDict()
-        self._active = 0
-        self._inflight_jobs = 0
-        self._routes: dict[asyncio.Task, str] = {}
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._membership: asyncio.Event | None = None
-        self._prober: asyncio.Task | None = None
         for backend in self._backends.values():
             self.ring.add(backend.name)
             self.metrics.register_shard(backend.name)
@@ -243,185 +199,39 @@ class Router:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        await super().start()
         self._membership = asyncio.Event()
-        self._prober = asyncio.create_task(self._probe_loop())
+        self._spawn(self._probe_loop())
 
-    async def drain(self, timeout_s: float | None = None) -> int:
-        """Stop admitting, let forwarded and queued jobs finish."""
-        self.draining = True
-        self.metrics.decision("drain")
-        live = [job for job in self._jobs.values()
-                if job.state not in schema.TERMINAL_STATES]
-        if live:
-            waits = asyncio.gather(*(job.done.wait() for job in live))
-            try:
-                await asyncio.wait_for(waits, timeout_s)
-            except asyncio.TimeoutError:
-                pass  # whatever is left is close()'s to cancel
-        drained = sum(1 for job in live
-                      if job.state in schema.TERMINAL_STATES)
-        self.metrics.count("drained", drained)
-        return len(live)
-
-    async def close(self) -> None:
-        """Hard stop: cancel the prober and every in-flight forward,
-        fail whatever is still live."""
-        self.draining = True
-        self._closed = True
-        pending = [task for task in ([self._prober] + list(self._routes))
-                   if task is not None]
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        for job in list(self._jobs.values()):
-            if job.state not in schema.TERMINAL_STATES:
-                self._finish(job, schema.CANCELLED, error="router closed")
-
-    # -- submission ----------------------------------------------------
-    def submit(self, request: JobRequest) -> tuple[RouterJob, bool]:
-        """Admit one request; returns ``(job, reused)``.
-
-        Coalesces onto an identical live job, answers from the memo of
-        a finished one or the memory tier without suspending, and
-        otherwise spawns the routing task for the cold path.
-        """
-        key = schema.request_key(request, self.signature)
-        self.metrics.count("submitted")
-        if request.sequence is not None:
-            self.metrics.count("sequence_frames")
-        self.metrics.decision("submit", key=key)
-        existing = self._jobs.get(key)
-        if existing is not None:
-            if existing.state in (schema.QUEUED, schema.RUNNING):
-                existing.coalesced += 1
-                self.metrics.count("coalesced")
-                self.metrics.decision("coalesce", key=key,
-                                      shard=existing.shard)
-                return existing, True
-            if existing.state == schema.DONE:
-                self.metrics.count("memo_hits")
-                self.metrics.decision("memo_hit", key=key, lane="memo")
-                return existing, True
-            self._finished.pop(key, None)
-        if self.draining:
-            self.metrics.count("rejected.draining")
-            self.metrics.decision("reject", key=key)
-            raise ServeError.draining()
-        if self._active >= self.queue_limit:
-            self.metrics.count("rejected.queue_full")
-            self.metrics.decision("reject", key=key)
-            raise ServeError.queue_full(self.queue_limit)
-        job = RouterJob(key, request)
-        self._jobs[key] = job
-        self._active += 1
-        self.metrics.count("accepted")
-        self.metrics.gauge("active", self._active)
-        record = self.tier.lookup_memory(key)
+    # -- dispatch ------------------------------------------------------
+    def _admit(self, job: Job) -> None:
+        """Answer from the memory tier without suspending, otherwise
+        spawn the routing task for the cold path."""
+        record = self.tier.lookup_memory(job.key)
         if record is not None:
             self.metrics.count("tier.memory_hits")
-            self.metrics.decision("tier_hit", key=key, lane="memory")
+            self.metrics.decision("tier_hit", key=job.key, lane="memory")
             self._finish(job, schema.DONE, record=record, lane="memory")
-            return job, False
-        assert self._loop is not None, "router not started"
-        task = self._loop.create_task(self._route_job(job))
-        self._routes[task] = key
-        task.add_done_callback(
-            lambda done: self._routes.pop(done, None))
-        return job, False
-
-    # -- queries (server surface) --------------------------------------
-    def status(self, job_id: str) -> RouterJob:
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise ServeError.not_found(job_id)
-        return job
-
-    async def wait(self, job_id: str,
-                   timeout_s: float | None = None) -> RouterJob:
-        job = self.status(job_id)
-        try:
-            await asyncio.wait_for(job.done.wait(), timeout_s)
-        except asyncio.TimeoutError:
-            raise ServeError.wait_timeout(job_id, timeout_s or 0.0) \
-                from None
-        return job
-
-    def result_payload(self, job: RouterJob) -> dict:
-        elapsed = ((job.finished_s or time.monotonic()) - job.created_s)
-        payload = {"id": job.key, "state": job.state, "lane": job.lane,
-                   "attempts": job.attempts, "elapsed_s": elapsed,
-                   "result": None, "metrics": {},
-                   "invariant_failures": [], "error": job.error,
-                   "shard": job.shard, "served_by": job.served_by}
-        if job.record is not None:
-            payload["result"] = job.record.get("result")
-            payload["metrics"] = job.record.get("metrics", {})
-            payload["invariant_failures"] = job.record.get(
-                "invariant_failures", [])
-        return payload
+            return
+        self._spawn(self._route_job(job))
 
     def counts(self) -> dict:
-        states: dict[str, int] = {}
-        for job in self._jobs.values():
-            states[job.state] = states.get(job.state, 0) + 1
-        return {"role": "router", "active": self._active,
-                "inflight": self._inflight_jobs, "states": states,
-                "backends": {name: backend.describe() for name, backend
-                             in sorted(self._backends.items())},
-                "backends_up": sum(1 for backend
-                                   in self._backends.values()
-                                   if backend.up)}
+        backends = {name: backend.describe() for name, backend
+                    in sorted(self._backends.items())}
+        return {**super().counts(), "role": self.role,
+                "backends": backends, "backends_up": self._backends_up()}
 
     # -- routing internals ---------------------------------------------
-    def _finish(self, job: RouterJob, state: str, *,
-                record: dict | None = None, lane: str | None = None,
-                error: str | None = None) -> None:
-        job.state = state
-        job.record = record
-        if lane is not None:
-            job.lane = lane
-        job.error = error
-        job.finished_s = time.monotonic()
-        self._active -= 1
-        if state == schema.DONE:
-            self.metrics.count("completed")
-            self.metrics.observe_latency(job.finished_s - job.created_s)
-            self.metrics.decision("complete", key=job.key,
-                                  shard=job.shard, lane=job.lane)
-        else:
-            self.metrics.count("failed")
-            self.metrics.decision("fail", key=job.key, shard=job.shard,
-                                  lane=job.lane)
-        self.metrics.gauge("active", self._active)
-        job.done.set()
-        self._finished[job.key] = None
-        while len(self._finished) > self.memo_limit:
-            stale, _ = self._finished.popitem(last=False)
-            self._jobs.pop(stale, None)
-
-    def _track_inflight(self, delta: int) -> None:
-        """Adjust the forwarded-jobs counter and its gauge in one
-        synchronous step — atomic between suspension points, so the
-        count can never be observed mid-update (SIM202 discipline)."""
-        self._inflight_jobs += delta
-        self.metrics.gauge("inflight", self._inflight_jobs)
-
-    async def _route_job(self, job: RouterJob) -> None:
+    async def _route_job(self, job: Job) -> None:
+        # Cancelled only by close(), whose sweep then cancels the job.
         try:
             await self._route_job_inner(job)
-        except asyncio.CancelledError:
-            if job.state not in schema.TERMINAL_STATES:
-                self._finish(job, schema.CANCELLED,
-                             error="router closed")
-            raise
         except Exception as exc:  # defensive: a routing bug must not
             if job.state not in schema.TERMINAL_STATES:  # hang waiters
                 self._finish(job, schema.FAILED,
                              error=f"{type(exc).__name__}: {exc}")
 
-    async def _route_job_inner(self, job: RouterJob) -> None:
+    async def _route_job_inner(self, job: Job) -> None:
         assert self._loop is not None
         record = None
         if self.tier.disk_tier is not None \
@@ -443,10 +253,8 @@ class Router:
                 self._finish(job, schema.FAILED,
                              error=ServeError.no_backends().message)
                 return
-            job.attempts += 1
+            self._start(job)
             job.shard = backend.name
-            job.state = schema.RUNNING
-            job.started_s = time.monotonic()
             backend.inflight += 1
             self._track_inflight(+1)
             self.metrics.shard_forwarded(backend.name)
@@ -461,11 +269,9 @@ class Router:
                 self.metrics.decision("requeue", key=job.key,
                                       shard=backend.name)
                 avoid.add(backend.name)
-                if not await self._retry_backoff(job):
-                    self._finish(
-                        job, schema.FAILED,
-                        error=f"forward to {backend.name} failed: "
-                              f"{type(exc).__name__}: {exc}")
+                if not await self._retry_backoff(
+                        job, f"forward to {backend.name} failed: "
+                             f"{type(exc).__name__}: {exc}"):
                     return
                 continue
             finally:
@@ -477,15 +283,14 @@ class Router:
             # Typed, retryable backend rejection (queue_full/draining):
             # back off and re-route — possibly to the same shard once
             # its queue clears, or past it if it goes down meanwhile.
-            if not await self._retry_backoff(job):
-                error = response.get("error") or {}
-                self._finish(job, schema.FAILED,
-                             error=f"backend {backend.name}: "
-                                   f"{error.get('code', 'error')}: "
-                                   f"{error.get('message', '')}")
+            error = response.get("error") or {}
+            if not await self._retry_backoff(
+                    job, f"backend {backend.name}: "
+                         f"{error.get('code', 'error')}: "
+                         f"{error.get('message', '')}"):
                 return
 
-    def _route_key(self, job: RouterJob) -> str:
+    def _route_key(self, job: Job) -> str:
         """What the hash ring places for this job.
 
         Frames of one animation stream carry a ``sequence`` hint; they
@@ -497,7 +302,7 @@ class Router:
             return f"seq:{request.alias}:{request.sequence}"
         return job.key
 
-    async def _acquire_backend(self, job: RouterJob,
+    async def _acquire_backend(self, job: Job,
                                avoid: set[str]) -> Backend | None:
         """The ring owner for this job's routing key among healthy
         backends, waiting briefly through total outages (a restarting
@@ -527,19 +332,16 @@ class Router:
             except asyncio.TimeoutError:
                 pass  # re-evaluate membership on the tick
 
-    async def _retry_backoff(self, job: RouterJob) -> bool:
-        """Whether the job still has attempt budget; sleeps the
-        exponential backoff when it does."""
-        if job.attempts >= self.max_forward_attempts or self._closed:
+    async def _retry_backoff(self, job: Job, message: str) -> bool:
+        """Sleep the retry backoff and report whether to re-route;
+        a job out of attempt budget is failed with ``message``."""
+        delay = self._retry_or_fail(job, schema.FAILED, message)
+        if delay is None:
             return False
-        self.metrics.count("retries")
-        self.metrics.decision("retry", key=job.key)
-        job.state = schema.QUEUED
-        await asyncio.sleep(
-            self.retry_backoff_s * (2 ** max(0, job.attempts - 1)))
+        await asyncio.sleep(delay)
         return job.state == schema.QUEUED  # close() may have raced
 
-    def _complete_from_response(self, job: RouterJob, backend: Backend,
+    def _complete_from_response(self, job: Job, backend: Backend,
                                 response: dict) -> bool:
         """Digest one backend reply; ``False`` means retry-worthy."""
         error = response.get("error")
@@ -578,7 +380,7 @@ class Router:
         return True
 
     # -- backend wire --------------------------------------------------
-    async def _forward(self, backend: Backend, job: RouterJob) -> dict:
+    async def _forward(self, backend: Backend, job: Job) -> dict:
         """One submit-and-wait round trip to a shard."""
         timeout = job.request.timeout_s or self.forward_timeout_s
         payload = {"op": "submit", "v": schema.SCHEMA_VERSION,
@@ -637,25 +439,25 @@ class Router:
         backend.next_probe_s = time.monotonic() + backend.backoff_s
         self.ring.remove(backend.name)
         self.metrics.count("backend_down")
-        self.metrics.gauge(
-            "backends_up",
-            sum(1 for other in self._backends.values() if other.up))
-        self.metrics.decision("backend_down", shard=backend.name,
-                              jobs=backend.inflight)
-        if self._membership is not None:
-            self._membership.set()
+        self._membership_changed("backend_down", backend,
+                                 jobs=backend.inflight)
 
     def _mark_up(self, backend: Backend) -> None:
         backend.up = True
-        backend.failures = 0
         self.ring.add(backend.name)
         self.metrics.count("backend_up")
-        self.metrics.gauge(
-            "backends_up",
-            sum(1 for other in self._backends.values() if other.up))
-        self.metrics.decision("backend_up", shard=backend.name)
+        self._membership_changed("backend_up", backend)
+
+    def _membership_changed(self, op: str, backend: Backend,
+                            jobs: int = 0) -> None:
+        """Publish a ring change and wake admissions waiting on it."""
+        self.metrics.gauge("backends_up", self._backends_up())
+        self.metrics.decision(op, shard=backend.name, jobs=jobs)
         if self._membership is not None:
             self._membership.set()
+
+    def _backends_up(self) -> int:
+        return sum(1 for backend in self._backends.values() if backend.up)
 
     async def _probe_loop(self) -> None:
         """Health checking: every backend gets a periodic ``healthz``
@@ -669,8 +471,7 @@ class Router:
                 await self._probe(backend)
             await asyncio.sleep(
                 min(self.probe_interval_s, 0.25)
-                if any(not backend.up
-                       for backend in self._backends.values())
+                if self._backends_up() < len(self._backends)
                 else self.probe_interval_s)
 
     async def _probe(self, backend: Backend) -> None:

@@ -30,8 +30,8 @@ class InProcessServer:
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  start_timeout_s: float = 30.0, scheduler=None,
                  **scheduler_kwargs) -> None:
-        # ``scheduler`` hosts any object speaking the scheduler surface
-        # — notably a cluster Router — behind the same front door; by
+        # ``scheduler`` hosts either serving role (a JobLifecycle) —
+        # notably a cluster Router — behind the same front door; by
         # default a fresh single-node Scheduler is built.
         self.scheduler = scheduler if scheduler is not None \
             else Scheduler(**scheduler_kwargs)

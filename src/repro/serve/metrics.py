@@ -95,8 +95,10 @@ class ServeMetrics:
         self._latency.observe(seconds)
 
     def decision(self, op: str, *, key: str | None = None,
-                 lane: str | None = None, jobs: int = 0) -> None:
-        """Emit one scheduling decision into the structured trace."""
+                 lane: str | None = None, jobs: int = 0,
+                 shard: str | None = None) -> None:
+        """Emit one scheduling decision into the structured trace
+        (a worker's decisions carry no shard; ``shard`` is dropped)."""
         tracer = obs_trace.ACTIVE
         if tracer is not None:
             tracer.emit(ServeDecision(op=op, key=key, lane=lane,

@@ -1,9 +1,9 @@
 """The asyncio front door: one port, two protocols.
 
-:class:`SimulationServer` owns a :class:`~repro.serve.scheduler.
-Scheduler` and listens with ``asyncio.start_server`` (stdlib only —
-no web framework).  The protocol is sniffed from the first request
-line:
+:class:`SimulationServer` owns a :class:`~repro.serve.lifecycle.
+JobLifecycle` (a worker ``Scheduler`` or a cluster ``Router``) and
+listens with ``asyncio.start_server`` (stdlib only — no web
+framework).  The protocol is sniffed from the first request line:
 
 - ``GET``/``POST``/``HEAD`` … → a thin HTTP/1.1 handler, enough for
   ``curl`` and a Prometheus scraper: ``POST /submit``,
@@ -25,7 +25,7 @@ import asyncio
 import json
 
 from repro.serve import schema
-from repro.serve.scheduler import Scheduler
+from repro.serve.lifecycle import JobLifecycle
 from repro.serve.schema import ServeError
 
 MAX_LINE_BYTES = 1 << 20
@@ -40,7 +40,7 @@ def _json_line(payload: dict) -> bytes:
 class SimulationServer:
     """Bind a scheduler to a TCP port; speak NDJSON and HTTP/1.1."""
 
-    def __init__(self, scheduler: Scheduler, *, host: str = "127.0.0.1",
+    def __init__(self, scheduler: JobLifecycle, *, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         self.scheduler = scheduler
         self.host = host
@@ -80,14 +80,13 @@ class SimulationServer:
     async def _op_submit(self, payload: dict) -> dict:
         request = schema.request_from_payload(payload.get("request"))
         job, reused = self.scheduler.submit(request)
+        body = {"id": job.key, "reused": reused}
         if payload.get("wait"):
-            timeout = payload.get("timeout_s")
-            job = await self.scheduler.wait(
-                job.key, float(timeout) if timeout is not None else None)
-            return {"id": job.key, "reused": reused,
-                    "result": self.scheduler.result_payload(job)}
-        return {"id": job.key, "reused": reused,
-                "status": schema.status_to_payload(job.status())}
+            body.update(await self._op_wait(
+                {"id": job.key, "timeout_s": payload.get("timeout_s")}))
+        else:
+            body["status"] = schema.status_to_payload(job.status())
+        return body
 
     def _op_status(self, job_id: str) -> dict:
         job = self.scheduler.status(job_id)

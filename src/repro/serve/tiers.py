@@ -20,7 +20,7 @@ composite the cluster router actually holds:
 The memory tier is pure dict work and safe to call on the event loop;
 every disk probe is file I/O and must be pushed to an executor — the
 composite splits its API accordingly (``lookup_memory`` vs. the
-blocking ``probe_disk``/``sweep``).
+blocking ``probe_disk``).
 """
 
 from __future__ import annotations

@@ -257,6 +257,24 @@ class TestTraceStoreVersioning:
         assert disk.get_trace(spec, 0.05) is None
         assert disk.misses == 1
 
+    def test_torn_archive_is_a_counted_miss(self, tmp_path):
+        disk = DiskCache(tmp_path, trace_signature="tsig")
+        spec = BENCHMARKS["GTr"]
+        _, trace = self._compile()
+        disk.put_trace(spec, 0.05, trace)
+        (path,) = tmp_path.glob("trace-*.npz")
+        torn = path.read_bytes()
+        path.write_bytes(torn[:len(torn) // 2])
+        # A half-written archive is a miss, not a BadZipFile crash...
+        assert disk.get_trace(spec, 0.05) is None
+        assert disk.misses == 1
+        # ...and is dropped, so the next store rewrites it whole.
+        assert not path.exists()
+        disk.put_trace(spec, 0.05, trace)
+        loaded = disk.get_trace(spec, 0.05)
+        assert loaded is not None
+        assert loaded.num_accesses == trace.num_accesses
+
     def test_animated_traces_do_not_alias_static_ones(self, tmp_path):
         from repro.anim import AnimationSpec
 

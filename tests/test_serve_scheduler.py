@@ -3,7 +3,9 @@
 The process pool is swapped for a thread pool (``executor_factory``)
 and the worker for controllable fakes, so every scheduling decision is
 tested deterministically and in milliseconds; the real pool + real
-simulator path is covered by ``test_serve_endtoend.py``.
+simulator path is covered by ``test_serve_endtoend.py``.  The
+admission and retry contract shared with the cluster router is tested
+against both roles in ``test_serve_lifecycle.py``.
 """
 
 from __future__ import annotations
@@ -12,15 +14,12 @@ import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import pytest
-
 from repro.api import SimulationConfig
 from repro.config import KIB
 from repro.parallel import result_from_dict, result_to_dict
 from repro.serve import scheduler as scheduler_module
 from repro.serve.scheduler import Scheduler
-from repro.serve.schema import DONE, FAILED, QUEUED, TIMEOUT, JobRequest, \
-    ServeError
+from repro.serve.schema import DONE, FAILED, QUEUED, TIMEOUT, JobRequest
 from repro.tcor.system import SystemResult
 
 SCALE = 0.05
@@ -160,38 +159,6 @@ class TestMicroBatching:
 
 
 class TestAdmissionControl:
-    def test_full_queue_rejects_with_429(self, monkeypatch):
-        monkeypatch.setattr(scheduler_module, "simulate_request_batch",
-                            good_records)
-
-        async def body(sched):
-            sched.submit(request(size=32 * KIB))
-            sched.submit(request(size=64 * KIB))
-            with pytest.raises(ServeError) as excinfo:
-                sched.submit(request(size=128 * KIB))
-            assert excinfo.value.code == "queue_full"
-            assert excinfo.value.http_status == 429
-            assert sched.metrics.value("rejected.queue_full") == 1
-            # Coalescing onto live work is still allowed at capacity.
-            _, reused = sched.submit(request(size=32 * KIB))
-            assert reused
-
-        run_with_scheduler(body, queue_limit=2, batch_window_s=0.2)
-
-    def test_draining_rejects_with_503(self, monkeypatch):
-        monkeypatch.setattr(scheduler_module, "simulate_request_batch",
-                            good_records)
-
-        async def body(sched):
-            await sched.drain(timeout_s=1)
-            with pytest.raises(ServeError) as excinfo:
-                sched.submit(request())
-            assert excinfo.value.code == "draining"
-            assert excinfo.value.http_status == 503
-            assert sched.metrics.value("rejected.draining") == 1
-
-        run_with_scheduler(body)
-
     def test_drain_finishes_inflight_work(self, monkeypatch):
         release = threading.Event()
 
@@ -293,29 +260,6 @@ class TestFailureModes:
             assert len(pools_made) == 2  # the original + the recycle
 
         run_with_scheduler(body, max_attempts=1, executor_factory=factory)
-
-    def test_failed_key_can_be_resubmitted(self, monkeypatch):
-        attempts = []
-
-        def worker(alias, scale, entries, anim_payload=None):
-            attempts.append(1)
-            if len(attempts) == 1:
-                return [{"key": key, "error": "ValueError: flaky input"}
-                        for key, _config in entries]
-            return good_records(alias, scale, entries)
-        monkeypatch.setattr(scheduler_module, "simulate_request_batch",
-                            worker)
-
-        async def body(sched):
-            first, _ = sched.submit(request())
-            await asyncio.wait_for(first.done.wait(), 10)
-            assert first.state == FAILED
-            second, reused = sched.submit(request())
-            assert not reused and second is not first
-            await asyncio.wait_for(second.done.wait(), 10)
-            assert second.state == DONE
-
-        run_with_scheduler(body, max_attempts=1)
 
 
 class FakeDisk:
