@@ -41,6 +41,7 @@ __all__ = [
     "RunResult",
     "SimulationConfig",
     "connect",
+    "dispatch",
     "run_experiment",
     "simulate",
     "simulation_cache",
@@ -86,13 +87,18 @@ class RunResult:
     ``result`` is the raw :class:`SystemResult`; ``metrics`` is the
     flat ``{dotted.name: number}`` registry snapshot taken right after
     the run; ``invariant_failures`` lists any conservation invariants
-    the snapshot violated (empty on a healthy run).
+    the snapshot violated (empty on a healthy run).  ``engine`` names
+    the path that ran (``"replay"`` or ``"live"``); ``fallback_reason``
+    says why an ``engine="auto"`` run could not replay (``None`` when
+    it did, or when the engine was forced).
     """
 
     result: "SystemResult"
     config: SimulationConfig
     metrics: Mapping[str, float] = field(default_factory=dict)
     invariant_failures: tuple[str, ...] = ()
+    engine: str = "live"
+    fallback_reason: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -144,37 +150,58 @@ def simulate(workload: "Workload",
     kernels and raises :class:`~repro.replay.ReplayUnsupportedError`
     when they cannot honor the run.
     """
+    from repro.replay import compiled_trace_for
+
+    return dispatch(config if config is not None else SimulationConfig(),
+                    trace=lambda: compiled_trace_for(workload),
+                    workload=lambda: workload,
+                    obs=obs if obs is not None else Observation(),
+                    engine=engine)
+
+
+def dispatch(config: SimulationConfig, *, trace, workload,
+             obs: Observation | None = None,
+             engine: str = "auto") -> RunResult:
+    """The one config dispatch behind :func:`simulate`, the experiment
+    caches and the serve worker: replay when eligible, else live.
+
+    ``trace`` and ``workload`` are zero-argument callables returning
+    the compiled trace and the built :class:`Workload`; each is called
+    only if its engine runs, so a trace-warm caller never builds.
+    ``engine`` is as in :func:`simulate`.  Without ``obs`` the run
+    registers no metrics (``metrics`` is empty).
+    """
+    from repro.replay import replay_or_reason
     from repro.tcor.system import simulate_baseline, simulate_tcor
 
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    config = config if config is not None else SimulationConfig()
-    if obs is None:
-        obs = Observation(MetricsRegistry())
-    result = None
+    result, reason = None, None
     if engine != "live":
-        from repro.replay import try_replay
-
-        result = try_replay(workload, config, obs,
-                            require=(engine == "replay"))
+        result, reason = replay_or_reason(trace, config, obs,
+                                          require=(engine == "replay"))
+    ran = "replay" if result is not None else "live"
     if result is None:
         if config.kind == "baseline":
             result = simulate_baseline(
-                workload, gpu=config.gpu,
+                workload(), gpu=config.gpu,
                 tile_cache_bytes=config.tile_cache_bytes,
                 include_background=config.include_background,
                 rendering_elimination=config.rendering_elimination, obs=obs)
         else:
             result = simulate_tcor(
-                workload, gpu=config.gpu, tcor=config.tcor,
+                workload(), gpu=config.gpu, tcor=config.tcor,
                 total_tile_cache_bytes=config.tile_cache_bytes,
                 l2_enhancements=config.l2_enhancements,
                 interleaved_lists=config.interleaved_lists,
                 include_background=config.include_background,
                 rendering_elimination=config.rendering_elimination, obs=obs)
-    return RunResult(result=result, config=config,
-                     metrics=obs.snapshot(),
-                     invariant_failures=tuple(obs.registry.check_invariants()))
+    return RunResult(
+        result=result, config=config,
+        metrics=obs.snapshot() if obs is not None else {},
+        invariant_failures=(tuple(obs.registry.check_invariants())
+                            if obs is not None else ()),
+        engine=ran, fallback_reason=reason)
 
 
 def simulation_cache(scale: float, *,

@@ -3,22 +3,30 @@
 Workloads and full-system simulations are expensive, and several figures
 reuse the same (benchmark, tile-cache size, organization) run — a
 :class:`SimulationCache` memoizes them across experiment modules within
-one runner invocation.
+one runner invocation.  Every simulation it runs goes trace-first:
+:func:`repro.replay.acquire_trace` for the compiled trace, then the one
+config dispatch :func:`repro.api.dispatch`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
+from repro.api import SimulationConfig, dispatch
 from repro.config import TCORConfig
-from repro.tcor.system import SystemResult, simulate_baseline, simulate_tcor
+from repro.replay import CompiledTrace, acquire_trace
+from repro.tcor.system import SystemResult
 from repro.workloads.suite import (
     BENCHMARK_ORDER,
     BENCHMARKS,
     Workload,
     build_workload,
 )
+
+if TYPE_CHECKING:
+    from repro.parallel.store import DiskCache
 
 KIB = 1024
 DEFAULT_SCALE = 1.0
@@ -126,24 +134,25 @@ def _size_component(tag: str, size_bytes: int) -> str:
 class SimulationCache(SimulationProvider):
     """Memoizes workloads and system simulations across experiments.
 
-    ``disk``, when given, is a persistent second level (duck-typed as
-    :class:`repro.parallel.store.DiskCache`): in-memory misses probe it
-    before simulating, and fresh results are written through, so
-    repeated runner/benchmark invocations skip re-simulation entirely.
+    ``disk``, when given, is a persistent second level: in-memory
+    misses probe it before simulating, and fresh results are written
+    through, so repeated runner/benchmark invocations skip
+    re-simulation entirely.
 
     ``use_replay`` (default on) runs cache-model simulations through
     the compiled-trace replay kernels when eligible — bit-identical
     results, compiled once per workload and amortized over every
     configuration; the live simulator remains the fallback (and the
     only path when a tracer is active or ``REPRO_NO_REPLAY`` is set).
-    ``trace_cache`` persists compiled traces through ``disk`` (when the
-    store supports them), so warm invocations skip geometry + binning
-    entirely.
+    ``trace_cache`` persists compiled traces through ``disk``, so warm
+    invocations skip geometry + binning entirely: a workload is built
+    only on a trace-store miss, a live fallback, or an explicit
+    :meth:`workload` call — and at most once either way.
     """
 
     def __init__(self, scale: float = DEFAULT_SCALE,
                  aliases: tuple[str, ...] | None = None,
-                 disk=None, use_replay: bool = True,
+                 disk: DiskCache | None = None, use_replay: bool = True,
                  trace_cache: bool = True) -> None:
         self.scale = scale
         self.aliases = tuple(aliases) if aliases else BENCHMARK_ORDER
@@ -152,66 +161,21 @@ class SimulationCache(SimulationProvider):
         self.trace_cache = trace_cache
         self._workloads: dict[str, Workload] = {}
         self._systems: dict[tuple, SystemResult] = {}
-        self._traces: dict[str, object] = {}
+        self._traces: dict[str, CompiledTrace] = {}
 
     def workload(self, alias: str) -> Workload:
         if alias not in self._workloads:
             self._workloads[alias] = build_workload(BENCHMARKS[alias],
                                                     scale=self.scale)
-            trace = self._traces.get(alias)
-            if trace is not None:
-                self._workloads[alias].compiled_trace = trace
         return self._workloads[alias]
 
-    # -- replay fast path ----------------------------------------------
-    def _compiled_trace(self, alias: str):
-        """Get-compile-or-load the workload's access trace (memoized).
-
-        A persisted trace (disk stores are duck-typed; older stores
-        without ``get_trace`` are simply skipped) avoids building the
-        workload at all — geometry and binning are the expensive part.
-        """
-        from repro.replay import compiled_trace_for
-
-        trace = self._traces.get(alias)
-        if trace is not None:
-            return trace
-        workload = self._workloads.get(alias)
-        if workload is not None and workload.compiled_trace is not None:
-            trace = workload.compiled_trace
-        if trace is None and self.trace_cache and self.disk is not None:
-            get_trace = getattr(self.disk, "get_trace", None)
-            if get_trace is not None:
-                trace = get_trace(BENCHMARKS[alias], self.scale)
-        if trace is None:
-            trace = compiled_trace_for(self.workload(alias))
-            if self.trace_cache and self.disk is not None:
-                put_trace = getattr(self.disk, "put_trace", None)
-                if put_trace is not None:
-                    put_trace(BENCHMARKS[alias], self.scale, trace)
-        self._traces[alias] = trace
-        if alias in self._workloads:
-            self._workloads[alias].compiled_trace = trace
-        return trace
-
-    def _replay(self, alias: str, kind: str, **kwargs) -> SystemResult | None:
-        """One replayed simulation, or ``None`` -> caller runs live."""
-        if not self.use_replay:
-            return None
-        from repro import replay
-
-        if replay.replay_allowed() is not None:
-            return None
-        try:
-            trace = self._compiled_trace(alias)
-            if kind == "baseline":
-                return replay.replay_baseline(trace, **kwargs).result
-            return replay.replay_tcor(trace, **kwargs).result
-        except replay.ReplayUnsupportedError:
-            return None
-
-    def workloads(self) -> list[Workload]:
-        return [self.workload(alias) for alias in self.aliases]
+    def _trace(self, alias: str) -> CompiledTrace:
+        if alias not in self._traces:
+            self._traces[alias] = acquire_trace(
+                BENCHMARKS[alias], self.scale,
+                store=self.disk if self.trace_cache else None,
+                build=lambda: self.workload(alias))
+        return self._traces[alias]
 
     @staticmethod
     def baseline_key(alias: str, tile_cache_bytes: int) -> tuple:
@@ -228,51 +192,65 @@ class SimulationCache(SimulationProvider):
                 tcor.attribute_buffer_bytes, l2_enhancements)
 
     def baseline(self, alias: str, tile_cache_bytes: int) -> SystemResult:
-        key = self.baseline_key(alias, tile_cache_bytes)
-        result = self._systems.get(key)
-        if result is not None:
-            return result
-        if self.disk is not None:
-            result = self.disk.get_baseline(BENCHMARKS[alias], self.scale,
-                                            tile_cache_bytes)
-            if result is not None:
-                self._systems[key] = result
-                return result
-        result = self._replay(alias, "baseline",
-                              tile_cache_bytes=tile_cache_bytes)
-        if result is None:
-            result = simulate_baseline(self.workload(alias),
-                                       tile_cache_bytes=tile_cache_bytes)
-        self._systems[key] = result
-        if self.disk is not None:
-            self.disk.put_baseline(BENCHMARKS[alias], self.scale,
-                                   tile_cache_bytes, result)
-        return result
+        return self._result(alias, SimulationConfig(
+            kind="baseline", tile_cache_bytes=tile_cache_bytes))
 
     def tcor(self, alias: str, tile_cache_bytes: int,
              l2_enhancements: bool = True,
              tcor_config: TCORConfig | None = None) -> SystemResult:
         tcor = (tcor_config if tcor_config is not None
                 else TCORConfig.for_total_size(tile_cache_bytes))
-        key = self.tcor_key(alias, tile_cache_bytes, tcor, l2_enhancements)
-        result = self._systems.get(key)
-        if result is not None:
-            return result
-        if self.disk is not None:
-            result = self.disk.get_tcor(BENCHMARKS[alias], self.scale, tcor,
-                                        l2_enhancements)
-            if result is not None:
-                self._systems[key] = result
-                return result
-        result = self._replay(alias, "tcor", tcor=tcor,
-                              l2_enhancements=l2_enhancements)
+        return self._result(alias, SimulationConfig(
+            kind="tcor", tile_cache_bytes=tile_cache_bytes, tcor=tcor,
+            l2_enhancements=l2_enhancements))
+
+    # -- one simulation: memo -> disk -> dispatch ----------------------
+    # ``config`` is always a baseline budget or an explicit TCOR split,
+    # as built by :meth:`baseline` / :meth:`tcor`.
+    def _key(self, alias: str, config: SimulationConfig) -> tuple:
+        if config.kind == "baseline":
+            return self.baseline_key(alias, config.tile_cache_bytes)
+        return self.tcor_key(alias, config.tile_cache_bytes, config.tcor,
+                             config.l2_enhancements)
+
+    def _cached(self, alias: str,
+                config: SimulationConfig) -> SystemResult | None:
+        """The memoized result, else the disk record (memoized on a
+        hit), else ``None``."""
+        key = self._key(alias, config)
+        if key not in self._systems and self.disk is not None:
+            spec = BENCHMARKS[alias]
+            if config.kind == "baseline":
+                hit = self.disk.get_baseline(spec, self.scale,
+                                             config.tile_cache_bytes)
+            else:
+                hit = self.disk.get_tcor(spec, self.scale, config.tcor,
+                                         config.l2_enhancements)
+            if hit is not None:
+                self._systems[key] = hit
+        return self._systems.get(key)
+
+    def _record(self, alias: str, config: SimulationConfig,
+                result: SystemResult) -> None:
+        """Memoize one fresh result and write it through to disk."""
+        self._systems[self._key(alias, config)] = result
+        if self.disk is None:
+            return
+        if config.kind == "baseline":
+            self.disk.put_baseline(BENCHMARKS[alias], self.scale,
+                                   config.tile_cache_bytes, result)
+        else:
+            self.disk.put_tcor(BENCHMARKS[alias], self.scale, config.tcor,
+                               config.l2_enhancements, result)
+
+    def _result(self, alias: str, config: SimulationConfig) -> SystemResult:
+        result = self._cached(alias, config)
         if result is None:
-            result = simulate_tcor(self.workload(alias), tcor=tcor,
-                                   l2_enhancements=l2_enhancements)
-        self._systems[key] = result
-        if self.disk is not None:
-            self.disk.put_tcor(BENCHMARKS[alias], self.scale, tcor,
-                               l2_enhancements, result)
+            result = dispatch(
+                config, trace=lambda: self._trace(alias),
+                workload=lambda: self.workload(alias),
+                engine="auto" if self.use_replay else "live").result
+            self._record(alias, config, result)
         return result
 
     @staticmethod

@@ -11,17 +11,20 @@ the serial cache uses — so figure modules are oblivious to how their
 inputs were produced, and parallel runs are byte-identical to serial
 ones (every workload is seeded, no state crosses workloads).
 
-Workload construction happens *inside* each worker (one build per
-benchmark, shared by all of that benchmark's variants), so nothing
-large is ever pickled into the pool; only compact ``SystemResult``
-counter records come back.
+Trace acquisition happens *inside* each worker (one
+:func:`~repro.replay.acquire_trace` per benchmark, shared by all of
+that benchmark's variants, which build the workload only on a
+trace-store miss), so nothing large is ever pickled into the pool; only
+compact ``SystemResult`` counter records come back.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
+from repro.api import SimulationConfig, dispatch
 from repro.config import TCORConfig
 from repro.obs import trace as obs_trace
 from repro.experiments.common import (
@@ -29,7 +32,9 @@ from repro.experiments.common import (
     TILE_CACHE_SIZES,
     SimulationCache,
 )
-from repro.tcor.system import SystemResult, simulate_baseline, simulate_tcor
+from repro.parallel.store import DiskCache
+from repro.replay import acquire_trace
+from repro.tcor.system import SystemResult
 from repro.workloads.suite import BENCHMARKS, build_workload
 
 # Which cache-backed simulation variants each experiment module
@@ -53,6 +58,17 @@ class SimJob:
     alias: str
     tile_cache_bytes: int
 
+    @property
+    def config(self) -> SimulationConfig:
+        """The job as :class:`SimulationCache` simulates it."""
+        if self.kind == "baseline":
+            return SimulationConfig(kind="baseline",
+                                    tile_cache_bytes=self.tile_cache_bytes)
+        return SimulationConfig(
+            kind="tcor", tile_cache_bytes=self.tile_cache_bytes,
+            tcor=TCORConfig.for_total_size(self.tile_cache_bytes),
+            l2_enhancements=(self.kind == "tcor"))
+
 
 def enumerate_jobs(names, aliases) -> list[SimJob]:
     """The job matrix the named experiments need, in deterministic
@@ -74,19 +90,19 @@ def simulate_job_batch(alias: str, scale: float,
                        use_replay: bool = True,
                        trace_dir: str | None = None
                        ) -> list[tuple[SimJob, SystemResult]]:
-    """Worker entry point: one trace compile, then every variant.
+    """Worker entry point: one trace acquisition, then every variant.
 
-    Must stay a module-level function (pickled by name into the pool)
-    and must mirror :class:`SimulationCache`'s simulation calls exactly
+    Must stay a module-level function (pickled by name into the pool).
+    Each job runs as its :attr:`SimJob.config` through the same
+    :func:`repro.api.dispatch` the lazy :class:`SimulationCache` uses,
     so pooled and lazy results are interchangeable.
 
-    ``use_replay`` (default) compiles the workload's access trace once
-    and replays it through the fast kernels for every job in the batch
-    — bit-identical to the live calls, which remain the fallback for
+    ``use_replay`` (default) replays every job in the batch from one
+    compiled trace; the live simulator remains the fallback for
     ineligible configurations.  ``trace_dir``, when given, is a
-    :class:`~repro.parallel.store.DiskCache` directory to load/persist
-    the compiled trace through: on a trace hit the worker skips
-    building the workload (geometry + binning) entirely.
+    :class:`~repro.parallel.store.DiskCache` directory the trace is
+    acquired through: on a trace hit the worker skips building the
+    workload (geometry + binning) entirely.
 
     With the fork start method a worker inherits the parent's module
     state, including any tracer installed in ``obs.trace.ACTIVE`` at
@@ -96,60 +112,17 @@ def simulate_job_batch(alias: str, scale: float,
     ``activation(None)`` scope: process-local, restored on exit, and
     the only module state this worker ever touches.
     """
+    spec = BENCHMARKS[alias]
+    workload = functools.cache(lambda: build_workload(spec, scale=scale))
+    trace = functools.cache(lambda: acquire_trace(
+        spec, scale,
+        store=DiskCache(trace_dir) if trace_dir is not None else None,
+        build=workload))
+    engine = "auto" if use_replay else "live"
     with obs_trace.activation(None):
-        spec = BENCHMARKS[alias]
-        replay = None
-        if use_replay:
-            from repro import replay as replay_module
-
-            if replay_module.replay_allowed() is None:
-                replay = replay_module
-        disk = None
-        trace = None
-        if replay is not None and trace_dir is not None:
-            from repro.parallel.store import DiskCache
-
-            disk = DiskCache(trace_dir)
-            trace = disk.get_trace(spec, scale)
-        workload = None
-        results = []
-        for job in jobs:
-            result = None
-            if replay is not None:
-                if trace is None:
-                    if workload is None:
-                        workload = build_workload(spec, scale=scale)
-                    trace = replay.compiled_trace_for(workload)
-                    if disk is not None:
-                        disk.put_trace(spec, scale, trace)
-                try:
-                    if job.kind == "baseline":
-                        result = replay.replay_baseline(
-                            trace,
-                            tile_cache_bytes=job.tile_cache_bytes).result
-                    else:
-                        result = replay.replay_tcor(
-                            trace,
-                            tcor=TCORConfig.for_total_size(
-                                job.tile_cache_bytes),
-                            l2_enhancements=(job.kind == "tcor"),
-                        ).result
-                except replay.ReplayUnsupportedError:
-                    result = None
-            if result is None:
-                if workload is None:
-                    workload = build_workload(spec, scale=scale)
-                if job.kind == "baseline":
-                    result = simulate_baseline(
-                        workload, tile_cache_bytes=job.tile_cache_bytes)
-                else:
-                    result = simulate_tcor(
-                        workload,
-                        tcor=TCORConfig.for_total_size(job.tile_cache_bytes),
-                        l2_enhancements=(job.kind == "tcor"),
-                    )
-            results.append((job, result))
-        return results
+        return [(job, dispatch(job.config, trace=trace, workload=workload,
+                               engine=engine).result)
+                for job in jobs]
 
 
 class ParallelSimulationCache(SimulationCache):
@@ -163,7 +136,8 @@ class ParallelSimulationCache(SimulationCache):
 
     def __init__(self, scale: float = DEFAULT_SCALE,
                  aliases: tuple[str, ...] | None = None,
-                 jobs: int = 1, disk=None, use_replay: bool = True,
+                 jobs: int = 1, disk: DiskCache | None = None,
+                 use_replay: bool = True,
                  trace_cache: bool = True) -> None:
         super().__init__(scale=scale, aliases=aliases, disk=disk,
                          use_replay=use_replay, trace_cache=trace_cache)
@@ -172,42 +146,9 @@ class ParallelSimulationCache(SimulationCache):
     def _worker_trace_dir(self) -> str | None:
         """Trace-store directory for pool workers (compiled once by the
         first worker, loaded by the rest), or ``None`` when disabled."""
-        if not (self.use_replay and self.trace_cache):
+        if not (self.use_replay and self.trace_cache) or self.disk is None:
             return None
-        directory = getattr(self.disk, "directory", None)
-        return str(directory) if directory is not None else None
-
-    # -- keys and storage ----------------------------------------------
-    def _job_key(self, job: SimJob) -> tuple:
-        if job.kind == "baseline":
-            return self.baseline_key(job.alias, job.tile_cache_bytes)
-        tcor = TCORConfig.for_total_size(job.tile_cache_bytes)
-        return self.tcor_key(job.alias, job.tile_cache_bytes, tcor,
-                              l2_enhancements=(job.kind == "tcor"))
-
-    def _store_job(self, job: SimJob, result: SystemResult) -> None:
-        self._systems[self._job_key(job)] = result
-        if self.disk is not None:
-            spec = BENCHMARKS[job.alias]
-            if job.kind == "baseline":
-                self.disk.put_baseline(spec, self.scale,
-                                       job.tile_cache_bytes, result)
-            else:
-                self.disk.put_tcor(
-                    spec, self.scale,
-                    TCORConfig.for_total_size(job.tile_cache_bytes),
-                    l2_enhancements=(job.kind == "tcor"), result=result)
-
-    def _probe_disk(self, job: SimJob) -> SystemResult | None:
-        if self.disk is None:
-            return None
-        spec = BENCHMARKS[job.alias]
-        if job.kind == "baseline":
-            return self.disk.get_baseline(spec, self.scale,
-                                          job.tile_cache_bytes)
-        return self.disk.get_tcor(
-            spec, self.scale, TCORConfig.for_total_size(job.tile_cache_bytes),
-            l2_enhancements=(job.kind == "tcor"))
+        return str(self.disk.directory)
 
     # -- fan-out -------------------------------------------------------
     def prefetch(self, names=None) -> int:
@@ -219,16 +160,8 @@ class ParallelSimulationCache(SimulationCache):
         actually simulated.
         """
         names = tuple(names) if names is not None else tuple(EXPERIMENT_VARIANTS)
-        pending = []
-        for job in enumerate_jobs(names, self.aliases):
-            key = self._job_key(job)
-            if key in self._systems:
-                continue
-            hit = self._probe_disk(job)
-            if hit is not None:
-                self._systems[key] = hit
-                continue
-            pending.append(job)
+        pending = [job for job in enumerate_jobs(names, self.aliases)
+                   if self._cached(job.alias, job.config) is None]
         if not pending:
             return 0
 
@@ -240,11 +173,7 @@ class ParallelSimulationCache(SimulationCache):
             # Serial fallback: run in-process (and reuse this cache's
             # workload memo instead of rebuilding in a worker).
             for job in pending:
-                if job.kind == "baseline":
-                    self.baseline(job.alias, job.tile_cache_bytes)
-                else:
-                    self.tcor(job.alias, job.tile_cache_bytes,
-                              l2_enhancements=(job.kind == "tcor"))
+                self._result(job.alias, job.config)
             return len(pending)
 
         workers = min(self.jobs, len(by_alias))
@@ -262,7 +191,7 @@ class ParallelSimulationCache(SimulationCache):
             ]
             for future in as_completed(futures):
                 for job, result in future.result():
-                    self._store_job(job, result)
+                    self._record(job.alias, job.config, result)
         except BaseException:
             # Ctrl-C (or a server drain cancelling the prefetch) must
             # not block on — or orphan — workers still crunching queued

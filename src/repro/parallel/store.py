@@ -12,7 +12,9 @@ caches warm.
 Records are one JSON file per key under ``.repro-cache/`` (override
 with ``REPRO_CACHE_DIR`` or a constructor argument); writes go through
 a temp file + ``os.replace`` so concurrent workers never publish a
-torn record, and unreadable records degrade to cache misses.
+torn record, and a record that does not load — torn, empty, garbage,
+the wrong shape or another version — degrades to a cache miss, also
+counted as ``corrupt``.
 """
 
 from __future__ import annotations
@@ -214,6 +216,7 @@ class DiskCache:
         self.trace_cache_bytes = trace_cache_bytes
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
         self.stores = 0
 
     # -- keys ----------------------------------------------------------
@@ -264,22 +267,30 @@ class DiskCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def _load(self, key: str) -> dict | None:
-        path = self._path(key)
+    def _load(self, key: str, decode):
+        """``decode(data)`` of one record, or ``None`` on a miss.
+
+        A missing file is a plain miss; a record that exists but is not
+        a well-formed record of this version (or whose data ``decode``
+        rejects) is a miss counted as ``corrupt`` too — never an
+        exception, so no caller can be stopped by one bad file."""
         try:
-            record = json.loads(path.read_text())
-        except (OSError, ValueError):
+            record = json.loads(self._path(key).read_text())
+            if record["version"] != CACHE_VERSION:
+                raise ValueError(f"record version {record['version']}")
+            data = decode(record["data"])
+        except FileNotFoundError:
             self.misses += 1
             return None
-        if record.get("version") != CACHE_VERSION or "data" not in record:
+        except (OSError, ValueError, TypeError, KeyError, AttributeError):
             self.misses += 1
+            self.corrupt += 1
             return None
         self.hits += 1
-        return record["data"]
+        return data
 
     def _read(self, key: str) -> SystemResult | None:
-        data = self._load(key)
-        return None if data is None else result_from_dict(data)
+        return self._load(key, result_from_dict)
 
     def _write(self, key: str, meta: dict, data: dict | list) -> None:
         # The temp name is unique per (process, thread, write), so any
@@ -370,7 +381,8 @@ class DiskCache:
 
         Any failure — missing file, torn archive, IR version mismatch —
         degrades to a cache miss; an archive that exists but does not
-        load is unlinked, so the next :meth:`put_trace` rewrites it."""
+        load is counted ``corrupt`` and unlinked, so the next
+        :meth:`put_trace` rewrites it."""
         from repro.replay import load_trace
 
         path = self._trace_path(self._trace_key(spec, scale, anim))
@@ -380,9 +392,10 @@ class DiskCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile, zlib.error):
+        except (OSError, ValueError, TypeError, KeyError, AttributeError,
+                EOFError, zipfile.BadZipFile, zlib.error):
             self.misses += 1
+            self.corrupt += 1
             try:
                 path.unlink(missing_ok=True)
             except OSError:
@@ -459,12 +472,16 @@ class DiskCache:
                    aliases: tuple[str, ...]) -> list | None:
         """Cached :class:`ExperimentResult` list for one experiment, or
         ``None``.  A warm runner invocation skips the module entirely."""
-        data = self._load(
-            self._key(self._tables_payload(experiment, scale, aliases)))
-        if data is None:
-            return None
         from repro.experiments.common import ExperimentResult
-        return [ExperimentResult(**entry) for entry in data]
+
+        def decode(data) -> list:
+            if not isinstance(data, list):
+                raise TypeError("tables record data is not a list")
+            return [ExperimentResult(**entry) for entry in data]
+
+        return self._load(
+            self._key(self._tables_payload(experiment, scale, aliases)),
+            decode)
 
     def put_tables(self, experiment: str, scale: float,
                    aliases: tuple[str, ...], results: list) -> None:
@@ -475,8 +492,9 @@ class DiskCache:
 
     # -- maintenance ---------------------------------------------------
     def stats_line(self) -> str:
-        return (f"disk cache: {self.hits} hits, {self.misses} misses, "
-                f"{self.stores} stores ({self.directory})")
+        return (f"disk cache: {self.hits} hits, {self.misses} misses "
+                f"({self.corrupt} corrupt), {self.stores} stores "
+                f"({self.directory})")
 
     def clear(self) -> int:
         """Delete every record (results, tables and compiled traces);

@@ -3,10 +3,11 @@
 ``compile_workload`` lowers a workload into a config-independent IR;
 ``replay_baseline`` / ``replay_tcor`` run the cache models over it
 bit-identically to the live simulator (which remains the reference
-oracle, gated by tests/test_replay_equivalence.py).  ``try_replay`` is
-the dispatch helper the public facade and the experiment caches use:
-it replays when the run is eligible and returns ``None`` (caller falls
-back to the live path) when it is not — a tracer is attached, the
+oracle, gated by tests/test_replay_equivalence.py).  ``acquire_trace``
+is the one way to obtain a compiled trace (store, else build + compile
++ store); ``replay_or_reason`` is the replay half of the one config
+dispatch, :func:`repro.api.dispatch`: it replays when the run is
+eligible and otherwise says why not — a tracer is attached, the
 ``REPRO_NO_REPLAY`` escape hatch is set, or the configuration steps
 outside what the kernels model.
 """
@@ -14,6 +15,7 @@ outside what the kernels model.
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 from repro import envvars
 from repro.obs import trace as obs_trace
@@ -36,6 +38,9 @@ from repro.replay.kernels import (
     replay_tcor,
 )
 
+if TYPE_CHECKING:
+    from repro.parallel.store import DiskCache
+
 __all__ = [
     "TRACE_IR_VERSION",
     "CompiledTrace",
@@ -43,6 +48,7 @@ __all__ = [
     "TraceHeader",
     "ReplayOutcome",
     "ReplayUnsupportedError",
+    "acquire_trace",
     "compile_workload",
     "compiled_trace_for",
     "load_trace",
@@ -50,6 +56,7 @@ __all__ = [
     "observe_replay",
     "replay_allowed",
     "replay_baseline",
+    "replay_or_reason",
     "replay_tcor",
     "trace_ir_compatible",
     "try_replay",
@@ -96,40 +103,67 @@ def observe_replay(obs: Observation, outcome: ReplayOutcome) -> None:
         obs.expect_sum(*RE_ACCOUNTING_RULE)
 
 
-def try_replay(workload, config, obs: Observation | None = None,
-               require: bool = False):
-    """Replay ``workload`` under ``config`` if eligible.
+def acquire_trace(spec, scale: float, anim=None, *,
+                  store: DiskCache | None, build) -> CompiledTrace:
+    """The compiled trace of (``spec``, ``scale``, ``anim``).
 
-    Returns the :class:`~repro.tcor.system.SystemResult` (registering
-    metrics into ``obs`` when given), or ``None`` when the run must use
-    the live simulator; with ``require=True`` ineligibility raises
-    :class:`ReplayUnsupportedError` instead.
+    Probes ``store`` first; on a miss (or with no store) calls the
+    zero-argument ``build`` once for the :class:`Workload`, compiles it
+    and writes the trace back.  Callers keep their own memo — this
+    function holds no state between calls.
+    """
+    trace = store.get_trace(spec, scale, anim) if store is not None else None
+    if trace is None:
+        trace = compiled_trace_for(build())
+        if store is not None:
+            store.put_trace(spec, scale, trace, anim=anim)
+    return trace
+
+
+def replay_or_reason(trace, config, obs: Observation | None = None,
+                     require: bool = False):
+    """``(SystemResult, None)`` when the run replays, else ``(None,
+    reason)``.
+
+    ``trace`` is a zero-argument callable returning the compiled trace,
+    called only once the run has passed :func:`replay_allowed`;
+    ``config`` is a :class:`~repro.api.SimulationConfig`.  Metrics
+    register into ``obs`` when given.  With ``require=True``
+    ineligibility raises :class:`ReplayUnsupportedError` instead.
     """
     reason = replay_allowed(obs)
     if reason is not None:
         if require:
             raise ReplayUnsupportedError(reason)
-        return None
+        return None, reason
     try:
-        trace = compiled_trace_for(workload)
         if config.kind == "baseline":
             outcome = replay_baseline(
-                trace, gpu=config.gpu,
+                trace(), gpu=config.gpu,
                 tile_cache_bytes=config.tile_cache_bytes,
                 include_background=config.include_background,
                 rendering_elimination=config.rendering_elimination)
         else:
             outcome = replay_tcor(
-                trace, gpu=config.gpu, tcor=config.tcor,
+                trace(), gpu=config.gpu, tcor=config.tcor,
                 total_tile_cache_bytes=config.tile_cache_bytes,
                 l2_enhancements=config.l2_enhancements,
                 interleaved_lists=config.interleaved_lists,
                 include_background=config.include_background,
                 rendering_elimination=config.rendering_elimination)
-    except ReplayUnsupportedError:
+    except ReplayUnsupportedError as exc:
         if require:
             raise
-        return None
+        return None, str(exc)
     if obs is not None:
         observe_replay(obs, outcome)
-    return outcome.result
+    return outcome.result, None
+
+
+def try_replay(workload, config, obs: Observation | None = None,
+               require: bool = False):
+    """:func:`replay_or_reason` for a built ``workload``: the
+    :class:`~repro.tcor.system.SystemResult`, or ``None`` when the run
+    must use the live simulator."""
+    return replay_or_reason(lambda: compiled_trace_for(workload), config,
+                            obs, require)[0]

@@ -9,9 +9,11 @@ have:
 - **coalescing** — identical request keys share one in-flight future
   (the *Rendering Elimination* early-discard idea applied to compute:
   redundant in-flight work is detected by identity, not recomputed);
-- **micro-batching** — compatible jobs (same benchmark alias and
-  scale) are grouped into one pool call so the workload is built once
-  per batch, exactly like the parallel engine's per-alias fan-out;
+- **micro-batching** — compatible jobs (same benchmark alias, scale
+  and animation) are grouped into one pool call so the compiled trace
+  is acquired once per batch (and the workload built only on a
+  trace-store miss), exactly like the parallel engine's per-alias
+  fan-out;
 - **cache-aware ordering** — requests whose keys are warm in the PR 2
   disk store are served from a fast lane without ever occupying a
   pool slot, and finished results feed an in-memory memo so repeats
@@ -44,7 +46,7 @@ from repro.serve import schema
 from repro.serve.lifecycle import Job, JobLifecycle
 from repro.serve.metrics import ServeMetrics
 from repro.serve.tiers import record_for_result
-from repro.serve.worker import simulate_request_batch
+from repro.serve.worker import bind_store, simulate_request_batch
 
 DEFAULT_QUEUE_LIMIT = 64
 DEFAULT_BATCH_WINDOW_S = 0.02
@@ -101,7 +103,10 @@ class Scheduler(JobLifecycle):
     def _make_pool(self):
         if self._executor_factory is not None:
             return self._executor_factory(self.jobs)
-        return ProcessPoolExecutor(max_workers=self.jobs)
+        # Each pool process binds the store once: batches go trace-first.
+        return ProcessPoolExecutor(max_workers=self.jobs,
+                                   initializer=bind_store,
+                                   initargs=(self.disk,))
 
     async def start(self) -> None:
         await super().start()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import SimulationConfig, simulate
 from repro.config import KIB, TCORConfig
 from repro.experiments import common
 from repro.experiments.common import SimulationCache, format_table
@@ -20,6 +21,7 @@ from repro.parallel import (
     ParallelSimulationCache,
     SimJob,
     enumerate_jobs,
+    result_from_dict,
     simulation_code_signature,
 )
 from repro.tcor.system import SystemResult
@@ -27,6 +29,10 @@ from repro.workloads.suite import BENCHMARKS, build_workload
 
 ALIASES = ("GTr", "CCS")
 SCALE = 0.05
+# The store fault matrix: every load site must turn each into a counted
+# miss (``corrupt`` too), never an exception.
+FAULTS = ("truncated", "zero_length", "garbage", "json_null",
+          "wrong_shape", "wrong_version")
 
 
 class TestEnumerateJobs:
@@ -77,8 +83,7 @@ class TestParallelSerialEquivalence:
         # The figure module's lookups must now be pure memo reads.
         def bomb(*args, **kwargs):
             raise AssertionError("prefetched result was re-simulated")
-        monkeypatch.setattr(common, "simulate_baseline", bomb)
-        monkeypatch.setattr(common, "simulate_tcor", bomb)
+        monkeypatch.setattr(common, "dispatch", bomb)
         cache.baseline("GTr", 64 * KIB)
         cache.tcor("CCS", 128 * KIB)
 
@@ -121,13 +126,39 @@ class TestDiskCache:
         assert disk.get_tcor(spec, SCALE, TCORConfig.for_total_size(64 * KIB),
                              l2_enhancements=True) is None
 
-    def test_corrupt_record_degrades_to_miss(self, tmp_path):
-        disk = DiskCache(tmp_path, signature="sig")
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("site", ["result", "tables"])
+    def test_corrupt_record_degrades_to_miss(self, tmp_path, site, fault):
+        import json
+
+        from repro.experiments.common import ExperimentResult
+        from repro.parallel.store import CACHE_VERSION
+
+        disk = DiskCache(tmp_path, signature="sig", table_signature="t")
         spec = BENCHMARKS["GTr"]
-        disk.put_baseline(spec, SCALE, 64 * KIB, make_result())
-        for record in tmp_path.glob("*.json"):
-            record.write_text("{ not json")
-        assert disk.get_baseline(spec, SCALE, 64 * KIB) is None
+        if site == "result":
+            disk.put_baseline(spec, SCALE, 64 * KIB, make_result())
+            load = lambda: disk.get_baseline(spec, SCALE, 64 * KIB)
+        else:
+            disk.put_tables("fig14", SCALE, ALIASES, [ExperimentResult(
+                exp_id="fig14", title="t", headers=["a"], rows=[[1]])])
+            load = lambda: disk.get_tables("fig14", SCALE, ALIASES)
+        (path,) = tmp_path.glob("*.json")
+        whole = path.read_bytes()
+        path.write_bytes({
+            "truncated": whole[:len(whole) // 2],
+            "zero_length": b"",
+            "garbage": b"\x89\xff\x00 not a record \xfe",
+            "json_null": b"null",
+            "wrong_shape": json.dumps(
+                {"version": CACHE_VERSION, "data": {}}).encode(),
+            "wrong_version": whole.replace(
+                f'"version": {CACHE_VERSION}'.encode(),
+                f'"version": {CACHE_VERSION + 1}'.encode()),
+        }[fault])
+        assert load() is None
+        assert (disk.hits, disk.misses, disk.corrupt) == (0, 1, 1)
+        assert "(1 corrupt)" in disk.stats_line()
 
     def test_clear_removes_records(self, tmp_path):
         disk = DiskCache(tmp_path, signature="sig")
@@ -257,17 +288,39 @@ class TestTraceStoreVersioning:
         assert disk.get_trace(spec, 0.05) is None
         assert disk.misses == 1
 
-    def test_torn_archive_is_a_counted_miss(self, tmp_path):
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_torn_archive_is_a_counted_miss(self, tmp_path, fault):
+        import io
+        import json
+
+        import numpy as np
+
+        from repro.replay import ir
+
+        def archive(meta) -> bytes:
+            buffer = io.BytesIO()
+            np.savez(buffer, meta_json=np.frombuffer(
+                json.dumps(meta).encode(), dtype=np.uint8))
+            return buffer.getvalue()
+
         disk = DiskCache(tmp_path, trace_signature="tsig")
         spec = BENCHMARKS["GTr"]
         _, trace = self._compile()
         disk.put_trace(spec, 0.05, trace)
         (path,) = tmp_path.glob("trace-*.npz")
-        torn = path.read_bytes()
-        path.write_bytes(torn[:len(torn) // 2])
-        # A half-written archive is a miss, not a BadZipFile crash...
+        whole = path.read_bytes()
+        path.write_bytes({
+            "truncated": whole[:len(whole) // 2],
+            "zero_length": b"",
+            "garbage": b"\x89\xff\x00 not an archive \xfe",
+            "json_null": archive(None),
+            "wrong_shape": archive({"version": ir.TRACE_IR_VERSION,
+                                    "header": {}, "num_frames": 0}),
+            "wrong_version": archive({"version": ir.TRACE_IR_VERSION + 1}),
+        }[fault])
+        # A bad archive is a counted miss, not a crash...
         assert disk.get_trace(spec, 0.05) is None
-        assert disk.misses == 1
+        assert (disk.hits, disk.misses, disk.corrupt) == (0, 1, 1)
         # ...and is dropped, so the next store rewrites it whole.
         assert not path.exists()
         disk.put_trace(spec, 0.05, trace)
@@ -368,8 +421,7 @@ class TestDiskBackedSimulationCache:
 
         def bomb(*args, **kwargs):
             raise AssertionError("disk-cached result was re-simulated")
-        monkeypatch.setattr(common, "simulate_baseline", bomb)
-        monkeypatch.setattr(common, "simulate_tcor", bomb)
+        monkeypatch.setattr(common, "dispatch", bomb)
         cold = SimulationCache(scale=SCALE, aliases=("GTr",),
                                disk=DiskCache(tmp_path, signature="sig"))
         assert cold.baseline("GTr", 64 * KIB) == first
@@ -424,6 +476,79 @@ class TestTableCache:
         # a sweep/formatting edit leaves them warm.
         assert edited.get_baseline(BENCHMARKS["GTr"], SCALE,
                                    64 * KIB) is not None
+
+
+class TestTraceWarmConsumers:
+    """Every trace consumer goes store-first: with the compiled trace
+    already on disk, none of them builds a workload."""
+
+    CONFIGS = {
+        "baseline": SimulationConfig(kind="baseline",
+                                     tile_cache_bytes=64 * KIB),
+        "tcor": SimulationConfig(
+            kind="tcor", tile_cache_bytes=64 * KIB,
+            tcor=TCORConfig.for_total_size(64 * KIB)),
+        "tcor_no_l2": SimulationConfig(
+            kind="tcor", tile_cache_bytes=64 * KIB,
+            tcor=TCORConfig.for_total_size(64 * KIB),
+            l2_enhancements=False),
+    }
+
+    @pytest.fixture(scope="class")
+    def direct(self):
+        """The compiled trace plus each config's direct ``simulate``."""
+        from repro.replay import compiled_trace_for
+
+        workload = build_workload(BENCHMARKS["GTr"], scale=SCALE)
+        runs = {kind: simulate(workload, config)
+                for kind, config in self.CONFIGS.items()}
+        return compiled_trace_for(workload), runs
+
+    @pytest.mark.parametrize("consumer", ["cache", "job_batch",
+                                          "request_batch"])
+    def test_trace_warm_consumer_builds_nothing(self, consumer, direct,
+                                                tmp_path, monkeypatch):
+        from repro.anim import animate
+        from repro.parallel import engine
+        from repro.serve import schema, worker
+        from repro.workloads import suite
+
+        trace, runs = direct
+        disk = DiskCache(tmp_path)
+        disk.put_trace(BENCHMARKS["GTr"], SCALE, trace)
+
+        def bomb(*args, **kwargs):
+            raise AssertionError("trace-warm consumer built a workload")
+        for module in (suite, common, engine, worker):
+            monkeypatch.setattr(module, "build_workload", bomb)
+        for module in (animate, worker):
+            monkeypatch.setattr(module, "build_animated_workload", bomb)
+
+        if consumer == "cache":
+            cache = SimulationCache(scale=SCALE, aliases=("GTr",), disk=disk)
+            got = {"baseline": cache.baseline("GTr", 64 * KIB),
+                   "tcor": cache.tcor("GTr", 64 * KIB),
+                   "tcor_no_l2": cache.tcor("GTr", 64 * KIB,
+                                            l2_enhancements=False)}
+        elif consumer == "job_batch":
+            jobs = tuple(SimJob(kind, "GTr", 64 * KIB) for kind in runs)
+            got = {job.kind: result for job, result in
+                   engine.simulate_job_batch("GTr", SCALE, jobs,
+                                             trace_dir=str(tmp_path))}
+        else:
+            monkeypatch.setattr(worker, "_STORE", None)
+            worker.bind_store(disk)
+            records = worker.simulate_request_batch(
+                "GTr", SCALE,
+                tuple((kind, schema.config_to_payload(config))
+                      for kind, config in self.CONFIGS.items()))
+            got = {}
+            for record in records:
+                run = runs[record["key"]]
+                assert record["metrics"] == dict(run.metrics)
+                assert record["invariant_failures"] == []
+                got[record["key"]] = result_from_dict(record["result"])
+        assert got == {kind: run.result for kind, run in runs.items()}
 
 
 class TestJobBatchWorker:

@@ -253,3 +253,34 @@ class TestReplayGates:
         assert try_replay(workload, config) is None
         with pytest.raises(ReplayUnsupportedError):
             try_replay(workload, config, require=True)
+
+    @pytest.mark.parametrize("gate, reason", [
+        ("default", None),
+        ("env", "REPRO_NO_REPLAY"),
+        ("tracer", "tracer is attached"),
+        ("geometry", "L2 line size"),
+    ])
+    def test_run_result_names_the_engine(self, gate, reason, monkeypatch):
+        from repro.config import DEFAULT_GPU
+        from repro.obs import Tracer
+
+        workload = build_workload(BENCHMARKS["GTr"], scale=0.05)
+        config, obs = SimulationConfig(), None
+        if gate == "env":
+            monkeypatch.setenv("REPRO_NO_REPLAY", "1")
+        elif gate == "tracer":
+            obs = Observation(MetricsRegistry(), tracer=Tracer(sinks=[]))
+        elif gate == "geometry":
+            config = SimulationConfig(kind="baseline", gpu=dataclasses.replace(
+                DEFAULT_GPU, l2_cache=dataclasses.replace(
+                    DEFAULT_GPU.l2_cache, line_bytes=32)))
+        run = simulate(workload, config, obs=obs)
+        if reason is None:
+            assert (run.engine, run.fallback_reason) == ("replay", None)
+        else:
+            assert run.engine == "live"
+            assert reason in run.fallback_reason
+        # A forced engine never reports a fallback.
+        forced = simulate(workload, config, engine="live")
+        assert (forced.engine, forced.fallback_reason) == ("live", None)
+        assert forced.result == run.result

@@ -337,6 +337,28 @@ class TestDiskLane:
 
         run_with_scheduler(body, disk=disk)
 
+    def test_null_record_is_a_miss_not_a_dead_batcher(
+            self, monkeypatch, tmp_path):
+        # A stored record overwritten with JSON ``null`` must read as a
+        # counted miss: the job completes on the pool lane instead of
+        # the probe's exception ending the batch loop for good.
+        from repro.parallel import DiskCache
+
+        monkeypatch.setattr(scheduler_module, "simulate_request_batch",
+                            good_records)
+        disk = DiskCache(tmp_path, signature="sig")
+        scheduler_module.schema.store_disk(disk, request(), make_result())
+        (record,) = tmp_path.glob("*.json")
+        record.write_text("null")
+
+        async def body(sched):
+            job, _ = sched.submit(request())
+            await asyncio.wait_for(job.done.wait(), 5)
+            assert job.state == DONE and job.lane == "pool"
+            assert disk.corrupt == 1
+
+        run_with_scheduler(body, disk=disk)
+
     def test_warm_batch_probes_in_one_executor_round_trip(
             self, monkeypatch):
         # The fast lane costs one thread hand-off per micro-batch, not
