@@ -13,6 +13,7 @@ from repro.geometry.primitives import (
     Vertex,
 )
 from repro.geometry.overlap import (
+    bin_triangles,
     tile_rect,
     tiles_overlapped_by,
     triangle_overlaps_rect,
@@ -53,6 +54,7 @@ __all__ = [
     "calibrate_extent_for_reuse",
     "look_at",
     "perspective",
+    "bin_triangles",
     "tile_rect",
     "tile_traversal",
     "tiles_overlapped_by",

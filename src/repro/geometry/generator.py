@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.config import ScreenConfig
 from repro.geometry.primitives import Primitive, Vertex
-from repro.geometry.overlap import tiles_overlapped_by
+from repro.geometry.overlap import bin_triangles
 from repro.geometry.scene import DrawCommand, Scene
 
 
@@ -103,16 +103,51 @@ def sample_attribute_count(mean: float, rng: np.random.Generator) -> int:
     return _sample_attribute_count(mean, rng)
 
 
-def _mean_coverage(screen: ScreenConfig, extent: float, samples: int,
-                   size_spread: float, rng: np.random.Generator) -> float:
-    total = 0
+def _calibration_sample(screen: ScreenConfig, samples: int,
+                        size_spread: float, rng: np.random.Generator
+                        ) -> tuple[np.ndarray, ...]:
+    """The random draws behind ``samples`` calibration triangles.
+
+    None of them depends on the extent, so one set serves every bisection
+    step.  They are drawn in the order the per-triangle path draws them:
+    center, size factor, then per vertex the x and y jitter and the depth.
+    Each jitter is kept as its unit draw ``u``, since numpy's
+    ``uniform(low, high)`` is ``low + (high - low) * u``.
+    """
+    cx = np.empty(samples)
+    cy = np.empty(samples)
+    size = np.empty(samples)
+    jitter_u = np.empty((samples, 2, 3))
     for i in range(samples):
-        cx = rng.uniform(0, screen.width)
-        cy = rng.uniform(0, screen.height)
-        sampled = extent * rng.lognormal(0.0, size_spread)
-        prim = _fat_triangle(i, cx, cy, sampled, 3, rng)
-        total += max(1, len(tiles_overlapped_by(prim, screen)))
-    return total / samples
+        cx[i] = rng.uniform(0, screen.width)
+        cy[i] = rng.uniform(0, screen.height)
+        size[i] = rng.lognormal(0.0, size_spread)
+        for k in range(3):
+            jitter_u[i, 0, k] = rng.random()
+            jitter_u[i, 1, k] = rng.random()
+            rng.random()  # the vertex depth; binning ignores it
+    return cx, cy, size, jitter_u
+
+
+def _mean_coverage(screen: ScreenConfig, sample: tuple[np.ndarray, ...],
+                   extent: float) -> float:
+    """Mean tiles per calibration triangle (at least 1 each) at ``extent``.
+
+    Builds every triangle's vertices with :func:`_fat_triangle`'s
+    arithmetic on arrays, so each coordinate is the same double."""
+    cx, cy, size, jitter_u = sample
+    sampled = extent * size
+    half = sampled / 2.0
+    jitter = sampled * 0.15
+    low = (-jitter)[:, None]
+    span = jitter[:, None] - low
+    base_x = np.stack((-half, half, np.zeros_like(half)), axis=1)
+    base_y = np.stack((-half, -half, half), axis=1)
+    xs = (cx[:, None] + base_x) + (low + span * jitter_u[:, 0])
+    ys = (cy[:, None] + base_y) + (low + span * jitter_u[:, 1])
+    prim_ids, _ = bin_triangles(xs, ys, screen)
+    counts = np.bincount(prim_ids, minlength=len(size))
+    return int(np.maximum(counts, 1).sum()) / len(size)
 
 
 def calibrate_extent_for_reuse(screen: ScreenConfig, target_reuse: float,
@@ -123,15 +158,17 @@ def calibrate_extent_for_reuse(screen: ScreenConfig, target_reuse: float,
 
     Bisection over the extent; coverage is measured by actually binning
     sample triangles drawn with the same size distribution the generator
-    uses, so the calibration is exact for the binner in use.
+    uses, so the calibration is exact for the binner in use.  The sample
+    is drawn once and rescaled per step.
     """
     if target_reuse < 1.0:
         raise ValueError("target reuse must be >= 1")
     lo, hi = 1.0, float(4 * screen.tile_size * math.sqrt(target_reuse))
+    sample = _calibration_sample(screen, samples, size_spread,
+                                 np.random.default_rng(seed))
 
     def measure(extent: float) -> float:
-        return _mean_coverage(screen, extent, samples, size_spread,
-                              np.random.default_rng(seed))
+        return _mean_coverage(screen, sample, extent)
 
     while measure(hi) < target_reuse:
         hi *= 2.0

@@ -8,9 +8,18 @@ overlap tests of Antochi et al. that the paper builds on.
 The exact test treats both shapes as closed regions: touching at a single
 point or edge counts as overlap, which is the conservative choice a binner
 must make (a missed tile would drop geometry from the image).
+
+:func:`bin_triangles` is the binner every producer uses: one numpy pass
+over all (triangle, tile) pairs of many triangles.  The scalar
+:func:`triangle_overlaps_rect` / :func:`tiles_overlapped_by` pair is its
+reference: the kernel evaluates the same closed-region test with the same
+elementwise IEEE operations in the same order, so both return the same
+tiles for every input (the property tests compare them).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.config import ScreenConfig
 from repro.geometry.primitives import BoundingBox, Primitive, Vertex
@@ -140,3 +149,143 @@ def tiles_overlapped_by(prim: Primitive, screen: ScreenConfig) -> list[int]:
             if triangle_overlaps_rect(prim, tile_rect(screen, tile_id)):
                 overlapped.append(tile_id)
     return overlapped
+
+
+#: Candidate (triangle, tile) pairs evaluated per kernel pass; bounds the
+#: temporaries a batch of whole-screen triangles would otherwise allocate.
+_CHUNK_PAIRS = 1 << 11
+
+#: Index of each triangle vertex's / rectangle corner's successor.
+_NEXT_VERTEX = [1, 2, 0]
+_NEXT_CORNER = [1, 2, 3, 0]
+
+
+def _on_segment(ax, ay, bx, by, px, py) -> np.ndarray:
+    return ((np.minimum(ax, bx) <= px) & (px <= np.maximum(ax, bx))
+            & (np.minimum(ay, by) <= py) & (py <= np.maximum(ay, by)))
+
+
+def _overlaps(vx: np.ndarray, vy: np.ndarray,
+              rect: tuple[np.ndarray, ...]) -> np.ndarray:
+    """:func:`triangle_overlaps_rect` for M (triangle, rectangle) pairs.
+
+    ``vx``/``vy`` hold the (3, M) vertices and ``rect`` the rectangles'
+    (min_x, min_y, max_x, max_y) columns.  Each rectangle must be a tile
+    of the triangle's bbox tile window (see :func:`bin_triangles`): such
+    a tile always meets the triangle's bounding box, so the scalar test's
+    bbox check is true and is skipped.  The rest is an OR of three
+    clauses, so each clause runs only on the pairs every earlier clause
+    left undecided.  Every orientation value is one :func:`_orient` call
+    with the scalar test's arguments; the corner and edge clauses share
+    the ones they both use.
+    """
+    x0, y0, x1, y1 = rect
+    hit = np.zeros(len(x0), dtype=bool)
+    undecided = np.arange(len(x0))
+    # Corners in :func:`triangle_overlaps_rect`'s order, (4, M).
+    px = np.stack((x0, x1, x1, x0))
+    py = np.stack((y0, y0, y1, y1))
+
+    def settle(found: np.ndarray) -> np.ndarray:
+        hit[undecided[found]] = True
+        return ~found
+
+    # Any triangle vertex inside the rectangle.
+    keep = settle(((x0 <= vx) & (vx <= x1) & (y0 <= vy) & (vy <= y1))
+                  .any(axis=0))
+    undecided = undecided[keep]
+    vx, vy, px, py = vx[:, keep], vy[:, keep], px[:, keep], py[:, keep]
+
+    # Any rectangle corner inside the triangle.  side[i, j] is corner j
+    # against triangle edge i (from vertex i to its successor).
+    ex, ey = vx[_NEXT_VERTEX], vy[_NEXT_VERTEX]
+    side = _orient(vx[:, None], vy[:, None], ex[:, None], ey[:, None],
+                   px[None], py[None])
+    has_neg = (side < 0).any(axis=0)
+    has_pos = (side > 0).any(axis=0)
+    keep = settle((~(has_neg & has_pos)).any(axis=0))
+    undecided = undecided[keep]
+    vx, vy, ex, ey = vx[:, keep], vy[:, keep], ex[:, keep], ey[:, keep]
+    px, py, side = px[:, keep], py[:, keep], side[:, :, keep]
+
+    # Any pair of edges intersecting: triangle edge i (p1 -> p2) against
+    # rectangle edge j (q1 -> q2), every term shaped (3, 4, M).
+    p1x, p1y, p2x, p2y = (v[:, None] for v in (vx, vy, ex, ey))
+    q1x, q1y = px[None], py[None]
+    q2x, q2y = px[_NEXT_CORNER][None], py[_NEXT_CORNER][None]
+    d1 = _orient(q1x, q1y, q2x, q2y, p1x, p1y)
+    d2 = d1[_NEXT_VERTEX]
+    d3 = side
+    d4 = side[:, _NEXT_CORNER]
+    cross = (((d1 > 0) != (d2 > 0)) & ((d1 != 0) | (d2 != 0))
+             & ((d3 > 0) != (d4 > 0)) & ((d3 != 0) | (d4 != 0)))
+    # The collinear-touch terms: a zero orientation is rare (exact
+    # alignment), and without one the term is false everywhere.
+    for d, segment, point in ((d1, (q1x, q1y, q2x, q2y), (p1x, p1y)),
+                              (d2, (q1x, q1y, q2x, q2y), (p2x, p2y)),
+                              (d3, (p1x, p1y, p2x, p2y), (q1x, q1y)),
+                              (d4, (p1x, p1y, p2x, p2y), (q2x, q2y))):
+        zero = d == 0
+        if zero.any():
+            cross |= zero & _on_segment(*segment, *point)
+    settle(cross.any(axis=(0, 1)))
+    return hit
+
+
+def bin_triangles(xs: np.ndarray, ys: np.ndarray,
+                  screen: ScreenConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every (triangle, tile) overlap of N triangles in one pass.
+
+    ``xs`` and ``ys`` hold the ``(N, 3)`` vertex coordinates.  Returns the
+    ``(primitive_index, tile_id)`` pairs as two int64 arrays, grouped by
+    primitive in index order: the tiles paired with triangle ``i`` are
+    ``tiles_overlapped_by`` of that triangle, row-major.
+    """
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1, 3)
+    ys = np.asarray(ys, dtype=np.float64).reshape(-1, 3)
+    ts = screen.tile_size
+    min_x, max_x = xs.min(axis=1), xs.max(axis=1)
+    min_y, max_y = ys.min(axis=1), ys.max(axis=1)
+    visible = ~((max_x < 0) | (max_y < 0)
+                | (min_x >= screen.width) | (min_y >= screen.height))
+
+    def tile_of(coord: np.ndarray, limit: int) -> np.ndarray:
+        # ``int(coord) // ts``: truncation toward zero, then floor
+        # division.  Clipping to [-1, limit] first changes no clamped
+        # window and keeps huge coordinates inside int64.
+        return np.trunc(np.clip(coord, -1, limit)).astype(np.int64) // ts
+
+    first_tx = np.maximum(0, tile_of(min_x, screen.width))
+    first_ty = np.maximum(0, tile_of(min_y, screen.height))
+    cols = np.maximum(0, np.minimum(screen.tiles_x - 1,
+                                    tile_of(max_x, screen.width))
+                      - first_tx + 1)
+    rows = np.maximum(0, np.minimum(screen.tiles_y - 1,
+                                    tile_of(max_y, screen.height))
+                      - first_ty + 1)
+    counts = np.where(visible, cols * rows, 0)
+    ends = np.cumsum(counts)
+
+    prims_out = [np.zeros(0, dtype=np.int64)]
+    tiles_out = [np.zeros(0, dtype=np.int64)]
+    start = 0
+    while start < len(counts):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(
+            ends, base + _CHUNK_PAIRS, side="right")))
+        window = counts[start:stop]
+        prim = np.repeat(np.arange(start, stop), window)
+        # Each pair's position inside its triangle's tile window.
+        slot = np.arange(base, base + len(prim)) - np.repeat(
+            ends[start:stop] - window, window)
+        tx = first_tx[prim] + slot % cols[prim]
+        ty = first_ty[prim] + slot // cols[prim]
+        rect_x0 = (tx * ts).astype(np.float64)
+        rect_y0 = (ty * ts).astype(np.float64)
+        hit = _overlaps(xs[prim].T, ys[prim].T, (
+            rect_x0, rect_y0, np.minimum(rect_x0 + ts, screen.width),
+            np.minimum(rect_y0 + ts, screen.height)))
+        prims_out.append(prim[hit])
+        tiles_out.append((ty * screen.tiles_x + tx)[hit])
+        start = stop
+    return np.concatenate(prims_out), np.concatenate(tiles_out)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.config import ParameterBufferConfig, ScreenConfig
-from repro.geometry.overlap import tiles_overlapped_by
+from repro.geometry.overlap import bin_triangles
 from repro.geometry.primitives import Primitive
 
 
@@ -70,15 +72,21 @@ class Scene:
     def coverage(self) -> list[list[int]]:
         """Per-primitive list of overlapped tile IDs (row-major).
 
-        Computed once and cached; order within each list is row-major,
-        which is *not* the traversal order — callers that need traversal
-        ordering re-sort by rank.
+        Computed once (one :func:`bin_triangles` call for the whole
+        scene) and cached; order within each list is row-major, which is
+        *not* the traversal order — callers that need traversal ordering
+        re-sort by rank.
         """
         if self._coverage is None:
-            self._coverage = [
-                tiles_overlapped_by(prim, self.screen)
-                for prim in self.primitives
-            ]
+            vertices = [prim.vertices for prim in self.primitives]
+            prim_ids, tile_ids = bin_triangles(
+                [[v.x for v in tri] for tri in vertices],
+                [[v.y for v in tri] for tri in vertices], self.screen)
+            tiles = tile_ids.tolist()
+            ends = np.cumsum(
+                np.bincount(prim_ids, minlength=len(vertices))).tolist()
+            self._coverage = [tiles[start:end] for start, end
+                              in zip([0] + ends[:-1], ends)]
         return self._coverage
 
     def tile_lists(self) -> list[list[int]]:

@@ -82,6 +82,24 @@ def _relpath(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
+def load_cache_payload(cache_file: Path, version: int, signature: str,
+                       sections: tuple[str, ...]) -> dict:
+    """The cache record in ``cache_file``, or ``{}`` when it cannot be
+    used: unreadable, not JSON, another version or rules signature, or
+    not a JSON object whose ``sections`` are all objects."""
+    try:
+        payload = json.loads(cache_file.read_text())
+    except (OSError, ValueError):
+        return {}
+    if not isinstance(payload, dict) \
+            or payload.get("version") != version \
+            or payload.get("signature") != signature \
+            or not all(isinstance(payload.get(name, {}), dict)
+                       for name in sections):
+        return {}
+    return payload
+
+
 class _Cache:
     def __init__(self, cache_file: Path | None, signature: str) -> None:
         self.cache_file = cache_file
@@ -89,17 +107,15 @@ class _Cache:
         self.entries: dict[str, dict] = {}
         self.dirty = False
         if cache_file is not None and cache_file.is_file():
-            try:
-                payload = json.loads(cache_file.read_text())
-            except (OSError, ValueError):
-                payload = {}
-            if payload.get("version") == CACHE_VERSION \
-                    and payload.get("signature") == signature:
-                self.entries = payload.get("files", {})
+            payload = load_cache_payload(cache_file, CACHE_VERSION,
+                                         signature, ("files",))
+            self.entries = payload.get("files", {})
 
     def get(self, rel: str, sha: str) -> dict | None:
         entry = self.entries.get(rel)
-        return entry if entry is not None and entry.get("sha") == sha else None
+        if isinstance(entry, dict) and entry.get("sha") == sha:
+            return entry
+        return None
 
     def put(self, rel: str, entry: dict) -> None:
         self.entries[rel] = entry

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.lint.core import FileContext, Violation
+from repro.lint.engine import load_cache_payload
 from repro.lint.semantic.model import (Program, dependency_signatures,
                                        extract_module_facts,
                                        project_imports)
@@ -54,18 +55,14 @@ class SemanticCache:
         self.findings: dict[str, dict] = {}
         self.dirty = False
         if cache_file is not None and cache_file.is_file():
-            try:
-                payload = json.loads(cache_file.read_text())
-            except (OSError, ValueError):
-                payload = {}
-            if payload.get("version") == SEMANTIC_CACHE_VERSION \
-                    and payload.get("signature") == signature:
-                self.facts = payload.get("facts", {})
-                self.findings = payload.get("findings", {})
+            payload = load_cache_payload(cache_file, SEMANTIC_CACHE_VERSION,
+                                         signature, ("facts", "findings"))
+            self.facts = payload.get("facts", {})
+            self.findings = payload.get("findings", {})
 
     def get_facts(self, rel: str, sha: str) -> dict | None:
         entry = self.facts.get(rel)
-        if entry is not None and entry.get("sha") == sha:
+        if isinstance(entry, dict) and entry.get("sha") == sha:
             return entry["facts"]
         return None
 
@@ -75,7 +72,7 @@ class SemanticCache:
 
     def get_findings(self, rel: str, depsig: str) -> list | None:
         entry = self.findings.get(rel)
-        if entry is not None and entry.get("depsig") == depsig:
+        if isinstance(entry, dict) and entry.get("depsig") == depsig:
             return entry["violations"]
         return None
 

@@ -1,9 +1,14 @@
 """Exact tile-overlap (binning) tests."""
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.config import ScreenConfig
+from repro.geometry import overlap
 from repro.geometry.overlap import (
+    bin_triangles,
     tile_rect,
     tiles_overlapped_by,
     triangle_overlaps_rect,
@@ -88,3 +93,76 @@ class TestTilesOverlappedBy:
     def test_coverage_is_sorted_row_major(self, screen):
         tiles = tiles_overlapped_by(make_triangle(0, 20, 20, 60), screen)
         assert tiles == sorted(tiles)
+
+
+# -- the array kernel against the scalar reference ------------------------
+
+def kernel_lists(prims: list[Primitive],
+                 screen: ScreenConfig) -> list[list[int]]:
+    """:func:`bin_triangles` regrouped as one tile list per primitive."""
+    prim_ids, tile_ids = bin_triangles(
+        [[v.x for v in p.vertices] for p in prims],
+        [[v.y for v in p.vertices] for p in prims], screen)
+    assert np.all(np.diff(prim_ids) >= 0)  # grouped by primitive
+    lists: list[list[int]] = [[] for _ in prims]
+    for prim_id, tile_id in zip(prim_ids.tolist(), tile_ids.tolist()):
+        lists[prim_id].append(tile_id)
+    return lists
+
+
+# 100 = 3.125 tiles of 32, 70 = 4.375 tiles of 16: partial last columns
+# and rows.
+BINNING_SCREENS = (ScreenConfig(100, 70, 32), ScreenConfig(100, 70, 16),
+                   ScreenConfig(96, 64, 32))
+
+# Free coordinates (negative and past the screen), exact tile-edge
+# multiples (0, 16, 32, ... so vertices also land on tile corners) and
+# their neighbours one ulp away.
+free = st.floats(min_value=-120, max_value=240, allow_nan=False,
+                 allow_infinity=False)
+edge = st.integers(min_value=-3, max_value=15).map(lambda k: float(16 * k))
+near_edge = edge.flatmap(lambda c: st.sampled_from(
+    [c, float(np.nextafter(c, -np.inf)), float(np.nextafter(c, np.inf))]))
+coord = st.one_of(free, edge, near_edge)
+points = st.tuples(coord, coord)
+
+
+@st.composite
+def triangle_vertices(draw):
+    kind = draw(st.sampled_from(["free", "collinear", "point"]))
+    a = draw(points)
+    if kind == "point":  # zero-area: all three vertices coincide
+        return a, a, a
+    b = draw(points)
+    if kind == "collinear":
+        t = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]))
+        return a, b, (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    return a, b, draw(points)
+
+
+@given(screen=st.sampled_from(BINNING_SCREENS),
+       tris=st.lists(triangle_vertices(), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_bin_triangles_matches_scalar_reference(screen, tris):
+    prims = [Primitive(i, *(Vertex(x, y) for x, y in tri))
+             for i, tri in enumerate(tris)]
+    assert kernel_lists(prims, screen) == \
+        [tiles_overlapped_by(p, screen) for p in prims]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_bin_triangles_chunking_is_invisible(monkeypatch, chunk):
+    screen = ScreenConfig(200, 130, 32)
+    rng = np.random.default_rng(11)
+    centers = rng.uniform(-40, 240, size=(60, 1, 2))
+    corners = centers + rng.uniform(-70, 70, size=(60, 3, 2))
+    prims = [Primitive(i, *(Vertex(float(x), float(y)) for x, y in tri))
+             for i, tri in enumerate(corners)]
+    monkeypatch.setattr(overlap, "_CHUNK_PAIRS", chunk)
+    assert kernel_lists(prims, screen) == \
+        [tiles_overlapped_by(p, screen) for p in prims]
+
+
+def test_bin_triangles_empty_input():
+    prim_ids, tile_ids = bin_triangles([], [], ScreenConfig(100, 70, 32))
+    assert prim_ids.size == 0 and tile_ids.size == 0

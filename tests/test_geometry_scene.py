@@ -3,6 +3,9 @@
 import pytest
 
 from repro.config import ScreenConfig
+from repro.geometry.generator import SceneGenerator, SceneParameters
+from repro.geometry.overlap import tiles_overlapped_by
+from repro.geometry.primitives import Primitive
 from repro.geometry.scene import DrawCommand, Scene
 from tests.conftest import make_triangle
 
@@ -61,6 +64,24 @@ def test_max_primitives_in_a_tile(screen):
     prims = [make_triangle(i, 4, 4, 5) for i in range(7)]
     scene = Scene(screen, prims)
     assert scene.max_primitives_in_a_tile() == 7
+
+
+def test_coverage_matches_scalar_binning():
+    # A generated frame with off-screen primitives spliced in, so empty
+    # coverage lists sit between non-empty ones.
+    screen = ScreenConfig()
+    generated = SceneGenerator(screen, SceneParameters(
+        num_primitives=300, target_reuse=3.6, seed=4)).generate()
+    vertices = []
+    for prim in generated.primitives:
+        vertices.append(prim.vertices)
+        if prim.primitive_id % 50 == 0:
+            vertices.append(make_triangle(0, -500, 900).vertices)
+    prims = [Primitive(i, *tri) for i, tri in enumerate(vertices)]
+    coverage = Scene(screen, prims).coverage()
+    assert coverage == [tiles_overlapped_by(p, screen) for p in prims]
+    assert sum(1 for tiles in coverage if not tiles) >= 6
+    assert all(type(tile) is int for tiles in coverage for tile in tiles)
 
 
 def test_coverage_is_cached(screen):

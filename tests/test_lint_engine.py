@@ -10,7 +10,8 @@ import pytest
 
 from repro.lint import Violation, all_rules, lint_paths
 from repro.lint.cli import main
-from repro.lint.engine import discover_files, rules_signature
+from repro.lint.engine import (CACHE_VERSION, discover_files,
+                               rules_signature)
 from repro.lint.reporters import render_json, render_text
 
 BAD_SOURCE = """\
@@ -110,6 +111,24 @@ class TestCache:
         result = lint_paths([str(tmp_path)], root=tmp_path,
                             cache_file=cache_file)
         assert len(result.violations) == 1
+        assert result.files_from_cache == 0
+
+    @pytest.mark.parametrize("payload", [
+        "null", "[]", "7",
+        json.dumps({"version": CACHE_VERSION,
+                    "signature": rules_signature(), "files": []}),
+        json.dumps({"version": CACHE_VERSION,
+                    "signature": rules_signature(), "files": {"sim.py": 7}}),
+    ], ids=["null", "list", "number", "files-not-a-dict",
+            "entry-not-a-dict"])
+    def test_wrong_shape_cache_ignored(self, tmp_path, payload):
+        write(tmp_path, "sim.py", BAD_SOURCE)
+        cache_file = tmp_path / ".lint-cache.json"
+        cache_file.write_text(payload)
+        result = lint_paths([str(tmp_path)], root=tmp_path,
+                            cache_file=cache_file)
+        assert len(result.violations) == 1
+        assert result.files_from_cache == 0
 
     def test_signature_is_stable(self):
         assert rules_signature() == rules_signature()

@@ -15,8 +15,9 @@ import pytest
 from repro.lint import lint_paths
 from repro.lint.cli import main
 from repro.lint.engine import (apply_baseline, load_baseline,
-                               write_baseline)
+                               rules_signature, write_baseline)
 from repro.lint.reporters import sarif_payload
+from repro.lint.semantic.engine import SEMANTIC_CACHE_VERSION
 from repro.lint.semantic.rules import semantic_rules
 
 CLEAN_APP = """
@@ -106,6 +107,30 @@ class TestSemanticCache:
         assert [v.format() for v in warm.violations] \
             == [v.format() for v in cold.violations]
         assert any(v.rule == "SIM101" for v in warm.violations)
+
+    @pytest.mark.parametrize("payload", [
+        "{not json", "null", "[]", "7",
+        json.dumps({"version": SEMANTIC_CACHE_VERSION,
+                    "signature": rules_signature(),
+                    "facts": [], "findings": {}}),
+        json.dumps({"version": SEMANTIC_CACHE_VERSION,
+                    "signature": rules_signature(),
+                    "facts": {}, "findings": []}),
+        json.dumps({"version": SEMANTIC_CACHE_VERSION,
+                    "signature": rules_signature(),
+                    "facts": {"src/pool.py": 7},
+                    "findings": {"src/pool.py": None}}),
+    ], ids=["not-json", "null", "list", "number", "facts-not-a-dict",
+            "findings-not-a-dict", "entries-not-dicts"])
+    def test_corrupt_cache_ignored(self, tmp_path, payload):
+        root = write_project(tmp_path, {"src/pool.py": DIRTY_POOL})
+        cache_file = root / ".lint-semantic-cache.json"
+        cache_file.write_text(payload)
+        result = lint_paths([str(root / "src")], root=root, semantic=True,
+                            semantic_cache_file=cache_file)
+        assert result.semantic_facts_from_cache == 0
+        assert result.semantic_facts_computed == 1
+        assert any(v.rule == "SIM101" for v in result.violations)
 
 
 class TestSarif:
